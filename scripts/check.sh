@@ -15,6 +15,14 @@ cmake --build build-check -j "${JOBS}"
 echo "== ctest =="
 ctest --test-dir build-check --output-on-failure -j "${JOBS}"
 
+echo "== a tripped run guard is an error row, not an abort =="
+rc=0
+./build-check/lf_run --channel slow-switch --cpu E-2174G \
+    --set model.deadlock_kcycles=1 --trials 1 \
+    --json build-check/stuck.json --quiet || rc=$?
+test "${rc}" -eq 1
+grep -q '"error":"runUntilRetired: thread 0 stuck' build-check/stuck.json
+
 echo "== ASan/UBSan: registry + run-subsystem tests =="
 cmake -B build-asan -S . -DLF_ASAN=ON
 cmake --build build-asan -j "${JOBS}" \
@@ -23,12 +31,13 @@ cmake --build build-asan -j "${JOBS}" \
              lf_obs_test_obs lf_run_test_sweep lf_run_test_cli \
              lf_noise_test_environment lf_defense_test_defense \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
-             lf_sim_test_snapshot \
+             lf_sim_test_snapshot lf_sim_test_period_skip \
              lf_run lf_campaign table_defenses campaign_overhead
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
 ./build-asan/lf_sim_test_snapshot
+./build-asan/lf_sim_test_period_skip
 ./build-asan/lf_run_test_hooks
 ./build-asan/lf_obs_test_obs
 ./build-asan/lf_run_test_sweep
@@ -45,7 +54,7 @@ echo "== TSan: runner/streaming/campaign tests =="
 cmake -B build-tsan -S . -DLF_TSAN=ON
 cmake --build build-tsan -j "${JOBS}" \
     --target lf_run_test_runner lf_run_test_streaming \
-             lf_run_test_hooks lf_sim_test_snapshot \
+             lf_run_test_hooks lf_sim_test_snapshot lf_sim_test_period_skip \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_run
 ./build-tsan/lf_run_test_runner
@@ -53,6 +62,7 @@ cmake --build build-tsan -j "${JOBS}" \
 # The warm-snapshot cache is process-wide mutable state shared by all
 # runner workers; TSan gates its mutex + atomic-counter discipline.
 ./build-tsan/lf_sim_test_snapshot
+./build-tsan/lf_sim_test_period_skip
 ./build-tsan/lf_run_test_hooks
 ./build-tsan/lf_campaign_test_campaign
 ./build-tsan/lf_campaign_test_campaign_files

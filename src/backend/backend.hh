@@ -85,6 +85,20 @@ class Backend
     }
     /// @}
 
+    /** List every state field once for the steady-state visitors
+     *  (sim/period_skip.hh): the round-robin start is exact; retire
+     *  stamps and slot tallies are monotone. */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(issueWidth_);
+        for (Cycles &stamp : lastRetire_)
+            v.monotone(stamp);
+        v.exact(rrStart_);
+        v.monotone(tickCycles_);
+        v.monotone(slotsUsed_);
+    }
+
   private:
     FrontendEngine *engine_;
     int issueWidth_;

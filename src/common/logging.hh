@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace lf {
@@ -49,6 +50,18 @@ LogLevel logLevel();
 
 /** Override the threshold (takes precedence over LF_LOG). */
 void setLogLevel(LogLevel level);
+
+/**
+ * A failure a legal spec can reach inside one trial (the run guards of
+ * Core::runUntilRetired()). Unlike lf_panic it does not end the
+ * process: runExperiment() turns it into an error row, so a sweep or
+ * campaign shard records the row and goes on.
+ */
+class TrialError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail {
 
@@ -83,6 +96,10 @@ std::string formatString(const char *fmt, ...)
                 __FILE__, __LINE__, true);                               \
         }                                                                \
     } while (0)
+
+/** Throw a TrialError: this trial cannot finish, the process can. */
+#define lf_trial_error(...)                                              \
+    throw ::lf::TrialError(::lf::detail::formatString(__VA_ARGS__))
 
 /** Recoverable operational failure; prints at every level. */
 #define lf_error(...)                                                    \

@@ -28,6 +28,10 @@ using ThreadId = int;
 
 constexpr ThreadId kInvalidThread = -1;
 
+/** LRU rank an invalid cache line contributes to a canonical state
+ *  key (sim/period_skip.hh): its stale stamp orders nothing. */
+constexpr std::uint64_t kNoRank = ~std::uint64_t{0};
+
 /**
  * The micro-op delivery path taken through the processor frontend.
  *

@@ -8,6 +8,8 @@
 #include "core/trial_context.hh"
 #include "defense/defense.hh"
 #include "noise/environment.hh"
+#include "sim/executor.hh"
+#include "sim/period_skip.hh"
 
 namespace lf {
 
@@ -28,6 +30,77 @@ void
 CovertChannel::chargeMeasurementOverhead()
 {
     core_.runCycles(core_.model().noise.tscOverhead);
+}
+
+void
+CovertChannel::runEncodeDecodeRounds(ThreadId tid, bool bit, int rounds,
+                                     const PreparedChain &receiver,
+                                     const PreparedChain &encode_one,
+                                     const PreparedChain *encode_zero)
+{
+    core_.setProgram(tid, receiver);
+    runLoopIters(core_, tid, receiver,
+                 static_cast<std::uint64_t>(cfg_.initIters));
+    const PreparedChain *encode = bit ? &encode_one : encode_zero;
+    const auto round = [&](std::vector<Cycles> &) {
+        if (encode != nullptr) {
+            core_.setProgram(tid, *encode);
+            runLoopIters(core_, tid, *encode, 1);
+        }
+        core_.setProgram(tid, receiver);
+        runLoopIters(core_, tid, receiver, 1);
+    };
+    std::vector<Cycles> none;
+    runRounds(core_, static_cast<std::uint64_t>(rounds), none, round);
+}
+
+double
+CovertChannel::measureMtSteps(bool bit, int steps, int meas_per_step,
+                              const PreparedChain &receiver,
+                              const PreparedChain &encode_one)
+{
+    constexpr ThreadId kReceiver = 0;
+    constexpr ThreadId kSender = 1;
+
+    // Init: receiver loop reaches steady state with the sender idle.
+    core_.setProgram(kReceiver, receiver);
+    runLoopIters(core_, kReceiver, receiver,
+                 static_cast<std::uint64_t>(cfg_.initIters));
+
+    const auto step = [&](std::vector<Cycles> &out) {
+        if (bit) {
+            // Encode step: waking the sender partitions the DSB
+            // (invalidation toggle); the sender then keeps looping
+            // over its blocks *while the receiver measures*, so the
+            // receiver observes both the repartition refills and the
+            // shared-frontend contention.
+            core_.setProgram(kSender, encode_one);
+            core_.runUntilRetired(
+                kSender,
+                static_cast<std::uint64_t>(cfg_.mtSenderIters) *
+                    encode_one.chain.instsPerIteration);
+        }
+        // Decode: the receiver times its own loop, concurrently with
+        // the sender when a 1 is being encoded.
+        for (int k = 0; k < meas_per_step; ++k) {
+            chargeMeasurementOverhead();
+            out.push_back(runLoopIters(core_, kReceiver, receiver, 1));
+        }
+        if (bit)
+            core_.clearProgram(kSender); // second invalidation toggle
+    };
+    std::vector<Cycles> passes;
+    passes.reserve(static_cast<std::size_t>(steps) *
+                   static_cast<std::size_t>(meas_per_step));
+    runRounds(core_, static_cast<std::uint64_t>(steps), passes, step);
+    core_.clearProgram(kReceiver);
+
+    // The rdtscp noise of every pass, in pass order (what timing each
+    // pass with timedLoopIters() inside the loop would have drawn).
+    double sum = 0.0;
+    for (const Cycles pass : passes)
+        sum += core_.noisyMeasurement(static_cast<double>(pass));
+    return sum / static_cast<int>(passes.size());
 }
 
 double

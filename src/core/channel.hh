@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "frontend/prepared.hh"
 #include "sim/core.hh"
 
 namespace lf {
@@ -191,6 +192,33 @@ class CovertChannel
     /** Advance simulated time by the model's measurement overhead
      *  (serializing rdtscp reads are not free for the attacker). */
     void chargeMeasurementOverhead();
+
+    /**
+     * The non-MT interleaved protocol inside one measurement window,
+     * shared by the power and SGX non-MT channels: bind @p receiver
+     * on @p tid and run the Init iterations, then @p rounds rounds of
+     * one encode pass (@p encode_one for a 1, @p encode_zero — the
+     * stealthy variant's chain, else null — for a 0) and one decode
+     * pass. Rounds go through the period-skipping driver
+     * (sim/period_skip.hh).
+     */
+    void runEncodeDecodeRounds(ThreadId tid, bool bit, int rounds,
+                               const PreparedChain &receiver,
+                               const PreparedChain &encode_one,
+                               const PreparedChain *encode_zero);
+
+    /**
+     * The MT protocol shared by the MT and SGX MT channels: the
+     * receiver (thread 0) runs its Init iterations, then each of
+     * @p steps steps wakes the sender (thread 1) on @p encode_one for
+     * ChannelConfig::mtSenderIters passes when @p bit is set and
+     * times @p meas_per_step receiver passes. Returns the mean
+     * measured pass time. Steps go through the period-skipping
+     * driver; measurement noise is applied after it, in order.
+     */
+    double measureMtSteps(bool bit, int steps, int meas_per_step,
+                          const PreparedChain &receiver,
+                          const PreparedChain &encode_one);
 
   private:
     /** One transmission slot under the context's environment and

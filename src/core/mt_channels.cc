@@ -1,7 +1,6 @@
 #include "core/mt_channels.hh"
 
 #include "common/logging.hh"
-#include "sim/executor.hh"
 
 namespace lf {
 
@@ -30,38 +29,8 @@ MtChannelBase::MtChannelBase(Core &core, const ChannelConfig &config)
 double
 MtChannelBase::transmitBit(bool bit)
 {
-    // Init: receiver loop reaches steady state with the sender idle.
-    core_.setProgram(kReceiver, *receiver_);
-    runLoopIters(core_, kReceiver, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    double sum = 0.0;
-    int samples = 0;
-    for (int step = 0; step < cfg_.mtSteps; ++step) {
-        if (bit) {
-            // Encode step: waking the sender partitions the DSB
-            // (invalidation toggle); the sender then keeps looping
-            // over its blocks *while the receiver measures*, so the
-            // receiver observes both the repartition refills and the
-            // shared-frontend contention.
-            core_.setProgram(kSender, *encodeOne_);
-            core_.runUntilRetired(
-                kSender,
-                static_cast<std::uint64_t>(cfg_.mtSenderIters) *
-                    encodeOne_->chain.instsPerIteration);
-        }
-        // Decode: the receiver times its own loop, concurrently with
-        // the sender when a 1 is being encoded.
-        for (int k = 0; k < cfg_.mtMeasPerStep; ++k) {
-            chargeMeasurementOverhead();
-            sum += timedLoopIters(core_, kReceiver, *receiver_, 1);
-            ++samples;
-        }
-        if (bit)
-            core_.clearProgram(kSender); // second invalidation toggle
-    }
-    core_.clearProgram(kReceiver);
-    return sum / samples;
+    return measureMtSteps(bit, cfg_.mtSteps, cfg_.mtMeasPerStep,
+                          *receiver_, *encodeOne_);
 }
 
 MtEvictionChannel::MtEvictionChannel(Core &core,

@@ -34,9 +34,6 @@ class MtChannelBase : public CovertChannel
     double transmitBit(bool bit) override;
 
   protected:
-    static constexpr ThreadId kReceiver = 0;
-    static constexpr ThreadId kSender = 1;
-
     PreparedChainPtr receiver_;
     PreparedChainPtr encodeOne_;
 };

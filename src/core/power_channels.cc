@@ -1,7 +1,6 @@
 #include "core/power_channels.hh"
 
 #include "common/logging.hh"
-#include "sim/executor.hh"
 
 namespace lf {
 
@@ -33,21 +32,8 @@ PowerChannelBase::transmitBit(bool bit)
     const MicroJoules e0 = core_.readRapl();
     const Cycles t0 = core_.cycle();
 
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    for (int round = 0; round < powerCfg_.rounds; ++round) {
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
+    runEncodeDecodeRounds(kThread, bit, powerCfg_.rounds, *receiver_,
+                          *encodeOne_, encodeZero_.get());
 
     const MicroJoules e1 = core_.readRapl();
     const Cycles t1 = core_.cycle();

@@ -44,6 +44,18 @@ class Bpu
     void noteBtbMiss() { ++btbMisses_; }
     void noteCondMispredict() { ++condMispredicts_; }
 
+    /** List every state field once for the steady-state visitors
+     *  (sim/period_skip.hh): both tables exact, outcome counts
+     *  monotone. */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(btb_);
+        v.exact(counters_);
+        v.monotone(btbMisses_);
+        v.monotone(condMispredicts_);
+    }
+
   private:
     std::unordered_map<Addr, Addr> btb_;
     std::unordered_map<Addr, std::uint8_t> counters_;

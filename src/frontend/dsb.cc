@@ -67,6 +67,20 @@ Dsb::findLine(ThreadId tid, Addr key) const
     return const_cast<Dsb *>(this)->findLine(tid, key);
 }
 
+std::uint64_t
+Dsb::lruRank(int set, const Line &line) const
+{
+    if (!line.valid)
+        return kNoRank;
+    std::uint64_t rank = 0;
+    for (int w = 0; w < numWays_; ++w) {
+        const Line *other = lineAt(set, w);
+        if (other->valid && other->lru < line.lru)
+            ++rank;
+    }
+    return rank;
+}
+
 int
 Dsb::lookup(ThreadId tid, Addr key)
 {

@@ -117,6 +117,38 @@ class Dsb
     int numSets() const { return numSets_; }
     int numWays() const { return numWays_; }
 
+    /**
+     * List every state field once for the steady-state visitors
+     * (sim/period_skip.hh): mapping flags and line contents are
+     * exact, each valid line's LRU stamp enters the key as its rank
+     * within the set, and the LRU clock and statistics are monotone.
+     * The eviction callback is wiring, not state.
+     */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(numSets_);
+        v.exact(numWays_);
+        v.exact(partitioned_);
+        v.exact(salt_);
+        for (int set = 0; set < numSets_; ++set) {
+            for (int way = 0; way < numWays_; ++way) {
+                Line &line = *lineAt(set, way);
+                v.exact(line.valid);
+                v.exact(line.key);
+                v.exact(line.tid);
+                v.exact(line.uops);
+                v.stamp(line.lru, lruRank(set, line));
+            }
+        }
+        v.monotone(lruClock_);
+        v.monotone(hits_);
+        v.monotone(misses_);
+        v.monotone(evictions_);
+        v.monotone(inserts_);
+        v.monotone(partitionTransitions_);
+    }
+
   private:
     struct Line
     {
@@ -132,6 +164,9 @@ class Dsb
     Line *findLine(ThreadId tid, Addr key);
     const Line *findLine(ThreadId tid, Addr key) const;
     void invalidate(Line &line);
+    /** Valid lines of @p set older than @p line (LRU order is all
+     *  that replacement reads); kNoRank for an invalid line. */
+    std::uint64_t lruRank(int set, const Line &line) const;
 
     int numSets_;
     int numWays_;

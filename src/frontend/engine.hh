@@ -123,7 +123,39 @@ class UopQueue
         return take;
     }
 
+    /**
+     * List the queue's state once for the steady-state visitors
+     * (sim/period_skip.hh): the live flags in queue order are exact,
+     * and the ring position is monotone modulo the buffer size (it
+     * moves but never changes behaviour). Flags outside the live
+     * window are stale and not state. When a visitor moves the head,
+     * the live flags move with it.
+     */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(capacity_);
+        v.exact(size_);
+        for (std::size_t i = 0; i < size_; ++i)
+            v.exact(buf_[(head_ + i) & mask_]);
+        std::size_t head = head_;
+        v.ring(head, mask_);
+        if (head != head_)
+            moveHead(head);
+    }
+
   private:
+    void moveHead(std::size_t head)
+    {
+        std::vector<std::uint8_t> live(size_);
+        for (std::size_t i = 0; i < size_; ++i)
+            live[i] = buf_[(head_ + i) & mask_];
+        head_ = head;
+        for (std::size_t i = 0; i < size_; ++i)
+            buf_[(head_ + i) & mask_] = live[i];
+        tail_ = (head_ + size_) & mask_;
+    }
+
     std::vector<std::uint8_t> buf_;
     std::size_t mask_ = 0;
     std::size_t capacity_ = 0;
@@ -351,6 +383,51 @@ class FrontendEngine
 
     void loadState(const SavedState &s);
     /// @}
+
+    /**
+     * List every state field once for the steady-state visitors
+     * (sim/period_skip.hh). Clocks, counters and statistics are
+     * monotone; poison deadlines enter the key relative to the block
+     * clock; everything else is exact. params_ is config and
+     * tableMemo_ is memoization (a thread's decode is identified by
+     * its chunks pointer).
+     */
+    template <class V>
+    void visitState(V &v)
+    {
+        l1i_.visitState(v);
+        dsb_.visitState(v);
+        bpu_.visitState(v);
+        v.exact(dsbEnabled_);
+        v.exact(lsdStaticPartition_);
+        for (ThreadState &ts : threads_) {
+            v.exact(ts.program);
+            v.exact(ts.chunks);
+            v.exact(ts.pc);
+            v.exact(ts.nextChunk);
+            v.exact(ts.halted);
+            v.exact(ts.stall);
+            v.exact(ts.lastSource);
+            ts.idq.visitState(v);
+            v.exact(ts.lsdActive);
+            v.exact(ts.lsdBody);
+            v.exact(ts.lsdPos);
+            v.exact(ts.lsdHead);
+            ts.monitor.visitState(v);
+            v.exact(ts.nextIsBlockStart);
+            v.exact(ts.prevChunkLcp);
+            v.exact(ts.pendingChunk);
+            v.exact(ts.pendingFromDsb);
+            v.exact(ts.condCounts);
+            ts.counters.visitState(v);
+        }
+        v.monotone(cycle_);
+        v.monotone(fastForwardedCycles_);
+        v.exact(lastSlot_);
+        for (std::uint64_t &deadline : poisonDeadline_)
+            v.deadline(deadline, blockClock_);
+        v.monotone(blockClock_);
+    }
 
   private:
     struct ThreadState

@@ -50,6 +50,21 @@ L1iCache::findLine(Addr addr) const
     return const_cast<L1iCache *>(this)->findLine(addr);
 }
 
+std::uint64_t
+L1iCache::lruRank(int set, const Line &line) const
+{
+    if (!line.valid)
+        return kNoRank;
+    std::uint64_t rank = 0;
+    for (int w = 0; w < numWays_; ++w) {
+        const Line &other =
+            lines_[static_cast<std::size_t>(set * numWays_ + w)];
+        if (other.valid && other.lru < line.lru)
+            ++rank;
+    }
+    return rank;
+}
+
 L1iAccessResult
 L1iCache::access(Addr addr)
 {

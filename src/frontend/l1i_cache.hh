@@ -64,6 +64,29 @@ class L1iCache
     /** Set index of @p addr. */
     int setOf(Addr addr) const;
 
+    /** List every state field once for the steady-state visitors
+     *  (sim/period_skip.hh); same scheme as Dsb::visitState(). */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(numSets_);
+        v.exact(numWays_);
+        v.exact(lineBytes_);
+        v.exact(missLatency_);
+        for (int set = 0; set < numSets_; ++set) {
+            for (int way = 0; way < numWays_; ++way) {
+                Line &line = lines_[static_cast<std::size_t>(
+                    set * numWays_ + way)];
+                v.exact(line.valid);
+                v.exact(line.tag);
+                v.stamp(line.lru, lruRank(set, line));
+            }
+        }
+        v.monotone(lruClock_);
+        v.monotone(accesses_);
+        v.monotone(misses_);
+    }
+
   private:
     struct Line
     {
@@ -75,6 +98,9 @@ class L1iCache
     Addr tagOf(Addr addr) const;
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
+    /** Valid lines of @p set older than @p line; kNoRank when
+     *  @p line is invalid. */
+    std::uint64_t lruRank(int set, const Line &line) const;
 
     int numSets_;
     int numWays_;

@@ -76,10 +76,15 @@ LoopMonitor::recordTakenBranch(Addr branch_addr, Addr target)
         all_dsb = all_dsb && record.fromDsb;
     }
 
-    if (!scratchKeys_.empty() && scratchKeys_ == lastKeys_)
-        ++stableIters_;
-    else
+    // The count saturates at the warmup threshold: its only reader
+    // is the `>= warmupIters_` test below, and a bounded counter lets
+    // a steady loop's state repeat exactly (sim/period_skip.hh).
+    if (!scratchKeys_.empty() && scratchKeys_ == lastKeys_) {
+        if (stableIters_ < warmupIters_)
+            ++stableIters_;
+    } else {
         stableIters_ = scratchKeys_.empty() ? 0 : 1;
+    }
     lastKeys_.swap(scratchKeys_);
 
     int aligned = 0;

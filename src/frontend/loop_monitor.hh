@@ -77,10 +77,35 @@ class LoopMonitor
 
     /** Loop head of the current candidate (0 when none). */
     Addr head() const { return head_; }
+    /** Consecutive identical iterations closed so far, saturating at
+     *  the warmup threshold (lsdWarmupIters). */
     int stableIters() const { return stableIters_; }
 
     /** Full reset: LSD flush, program switch, partition change. */
     void reset();
+
+    /** List every state field once for the steady-state visitors
+     *  (sim/period_skip.hh). All are exact; the saturating
+     *  stableIters_ is what keeps a steady loop's state finite. */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(capacityUops_);
+        v.exact(warmupIters_);
+        v.exact(head_);
+        v.exact(stableIters_);
+        v.exact(accum_.size());
+        for (const ChunkRecord &record : accum_) {
+            v.exact(record.key);
+            v.exact(record.uops);
+            v.exact(record.fromDsb);
+            v.exact(record.blockStart);
+        }
+        v.exact(lastKeys_);
+        v.exact(scratchKeys_);
+        v.exact(bodyKeys_);
+        v.exact(bodyUops_);
+    }
 
   private:
     /** Aligned/misaligned block census of the current accumulation. */

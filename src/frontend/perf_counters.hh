@@ -78,42 +78,64 @@ struct PerfCounters
         return uopsMite + uopsDsb + uopsLsd;
     }
 
+    /**
+     * Call @p f with a pointer to every counter member, in
+     * declaration order: the one list delta() and the steady-state
+     * state visitors (sim/period_skip.hh) walk.
+     */
+    template <class F>
+    static void forEachMember(F f)
+    {
+        f(&PerfCounters::uopsMite);
+        f(&PerfCounters::uopsDsb);
+        f(&PerfCounters::uopsLsd);
+        f(&PerfCounters::lcpStallCycles);
+        f(&PerfCounters::switchPenaltyCycles);
+        f(&PerfCounters::dsbToMiteSwitches);
+        f(&PerfCounters::miteToDsbSwitches);
+        f(&PerfCounters::lsdEngagements);
+        f(&PerfCounters::lsdFlushes);
+        f(&PerfCounters::blocksDelivered);
+        f(&PerfCounters::mispredictStallCycles);
+        f(&PerfCounters::btbMissStallCycles);
+        f(&PerfCounters::l1iMissStallCycles);
+        f(&PerfCounters::idqPushes);
+        f(&PerfCounters::idqPushedUops);
+        f(&PerfCounters::idqPops);
+        f(&PerfCounters::idqOccupancyAtPush);
+        f(&PerfCounters::l1iAccesses);
+        f(&PerfCounters::l1iMisses);
+        f(&PerfCounters::btbMisses);
+        f(&PerfCounters::condMispredicts);
+        f(&PerfCounters::retiredInsts);
+        f(&PerfCounters::retiredUops);
+        f(&PerfCounters::specChunks);
+    }
+
     /** Element-wise difference (this - earlier). */
     PerfCounters delta(const PerfCounters &earlier) const
     {
         PerfCounters d;
-        d.uopsMite = uopsMite - earlier.uopsMite;
-        d.uopsDsb = uopsDsb - earlier.uopsDsb;
-        d.uopsLsd = uopsLsd - earlier.uopsLsd;
-        d.lcpStallCycles = lcpStallCycles - earlier.lcpStallCycles;
-        d.switchPenaltyCycles =
-            switchPenaltyCycles - earlier.switchPenaltyCycles;
-        d.dsbToMiteSwitches = dsbToMiteSwitches - earlier.dsbToMiteSwitches;
-        d.miteToDsbSwitches = miteToDsbSwitches - earlier.miteToDsbSwitches;
-        d.lsdEngagements = lsdEngagements - earlier.lsdEngagements;
-        d.lsdFlushes = lsdFlushes - earlier.lsdFlushes;
-        d.blocksDelivered = blocksDelivered - earlier.blocksDelivered;
-        d.mispredictStallCycles =
-            mispredictStallCycles - earlier.mispredictStallCycles;
-        d.btbMissStallCycles =
-            btbMissStallCycles - earlier.btbMissStallCycles;
-        d.l1iMissStallCycles =
-            l1iMissStallCycles - earlier.l1iMissStallCycles;
-        d.idqPushes = idqPushes - earlier.idqPushes;
-        d.idqPushedUops = idqPushedUops - earlier.idqPushedUops;
-        d.idqPops = idqPops - earlier.idqPops;
-        d.idqOccupancyAtPush =
-            idqOccupancyAtPush - earlier.idqOccupancyAtPush;
-        d.l1iAccesses = l1iAccesses - earlier.l1iAccesses;
-        d.l1iMisses = l1iMisses - earlier.l1iMisses;
-        d.btbMisses = btbMisses - earlier.btbMisses;
-        d.condMispredicts = condMispredicts - earlier.condMispredicts;
-        d.retiredInsts = retiredInsts - earlier.retiredInsts;
-        d.retiredUops = retiredUops - earlier.retiredUops;
-        d.specChunks = specChunks - earlier.specChunks;
+        forEachMember([&](std::uint64_t PerfCounters::*m) {
+            d.*m = this->*m - earlier.*m;
+        });
         return d;
     }
+
+    /** Every counter only ever counts up: all of them are monotone
+     *  state fields. */
+    template <class V>
+    void visitState(V &v)
+    {
+        forEachMember([&](std::uint64_t PerfCounters::*m) {
+            v.monotone(this->*m);
+        });
+    }
 };
+
+// A new counter must also join forEachMember().
+static_assert(sizeof(PerfCounters) == 24 * sizeof(std::uint64_t),
+              "PerfCounters::forEachMember() is missing a counter");
 
 } // namespace lf
 

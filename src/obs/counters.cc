@@ -85,6 +85,11 @@ counterCatalog()
         {"fast_forwarded_cycles", "cycles advanced by stall"
          " fast-forward instead of ticking",
          &CounterSet::fastForwardedCycles},
+        {"period_skips", "round loops whose repeating state let them"
+         " jump whole periods", &CounterSet::periodSkips},
+        {"skipped_period_cycles", "cycles advanced by period skips"
+         " instead of simulating (part of cycles)",
+         &CounterSet::skippedPeriodCycles},
         {"prepared_cache_hits", "prepared-chain builds served from the"
          " process-wide cache", &CounterSet::preparedCacheHits},
         {"prepared_cache_misses", "prepared-chain builds done from"
@@ -156,6 +161,9 @@ collectCoreCounters(const Core &core)
     set.cycles = static_cast<std::uint64_t>(engine.cycle());
     set.fastForwardedCycles =
         static_cast<std::uint64_t>(engine.fastForwardedCycles());
+    set.periodSkips = core.periodSkips();
+    set.skippedPeriodCycles =
+        static_cast<std::uint64_t>(core.skippedPeriodCycles());
     return set;
 }
 

@@ -98,6 +98,12 @@ struct CounterSet
     std::uint64_t fastForwardedCycles = 0;
     /// @}
 
+    /** @name Steady-state period skipping (sim/period_skip.hh) */
+    /// @{
+    std::uint64_t periodSkips = 0;
+    std::uint64_t skippedPeriodCycles = 0;
+    /// @}
+
     /** @name Prepared-chain cache (filled by runExperiment) */
     /// @{
     std::uint64_t preparedCacheHits = 0;

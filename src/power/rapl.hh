@@ -76,6 +76,20 @@ class RaplCounter
     }
     /// @}
 
+    /** List the counter's state once for the steady-state visitors
+     *  (sim/period_skip.hh). Round loops never read RAPL, so all of
+     *  it is exact (a loop that did would change the energies and
+     *  never repeat); the Rng is excluded as for snapshots. */
+    template <class V>
+    void visitState(V &v)
+    {
+        v.exact(intervalCycles_);
+        v.exact(trueEnergy_);
+        v.exact(visibleEnergy_);
+        v.exact(lastAccumulateCycle_);
+        v.exact(lastRefreshCycle_);
+    }
+
   private:
     RaplParams params_;
     Cycles intervalCycles_;

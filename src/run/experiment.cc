@@ -270,41 +270,14 @@ resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
     return "";
 }
 
-ExperimentResult
-runExperiment(const ExperimentSpec &spec)
+namespace {
+
+/** Everything of runExperiment() between a successful resolve and
+ *  counter collection: prepare, calibrate (or restore), transmit. */
+void
+runTrial(const ExperimentSpec &spec, TrialContext &ctx,
+         ExperimentResult &out)
 {
-    TrialContext ctx;
-    return runExperiment(spec, ctx);
-}
-
-ExperimentResult
-runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
-{
-    ExperimentResult out;
-    out.spec = spec;
-
-    // Counter collection and trace phases only *read* (and the
-    // prepared-cache delta reads thread-local tallies), so results
-    // are bit-identical with either switched on or off.
-    const bool counters_on = obs::countersEnabled();
-    const std::uint64_t prep_hits =
-        counters_on ? preparedCacheThreadHits() : 0;
-    const std::uint64_t prep_misses =
-        counters_on ? preparedCacheThreadMisses() : 0;
-    const std::uint64_t snap_hits =
-        counters_on ? snapshotCacheThreadHits() : 0;
-    const std::uint64_t snap_misses =
-        counters_on ? snapshotCacheThreadMisses() : 0;
-    const std::uint64_t snap_bypasses =
-        counters_on ? snapshotCacheThreadBypasses() : 0;
-
-    {
-        obs::TraceScope span("resolve");
-        out.error = resolveTrial(spec, ctx, &out.skipped);
-    }
-    if (!out.error.empty())
-        return out;
-
     const std::uint64_t prepare_start =
         obs::traceEnabled() ? obs::traceNowUs() : 0;
     auto channel = makeChannel(spec.channel, ctx);
@@ -356,6 +329,53 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
     obs::traceComplete("transmit", transmit_start);
     out.extras = ctx.extras();
     out.ok = true;
+}
+
+} // namespace
+
+ExperimentResult
+runExperiment(const ExperimentSpec &spec)
+{
+    TrialContext ctx;
+    return runExperiment(spec, ctx);
+}
+
+ExperimentResult
+runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
+{
+    ExperimentResult out;
+    out.spec = spec;
+
+    // Counter collection and trace phases only *read* (and the
+    // prepared-cache delta reads thread-local tallies), so results
+    // are bit-identical with either switched on or off.
+    const bool counters_on = obs::countersEnabled();
+    const std::uint64_t prep_hits =
+        counters_on ? preparedCacheThreadHits() : 0;
+    const std::uint64_t prep_misses =
+        counters_on ? preparedCacheThreadMisses() : 0;
+    const std::uint64_t snap_hits =
+        counters_on ? snapshotCacheThreadHits() : 0;
+    const std::uint64_t snap_misses =
+        counters_on ? snapshotCacheThreadMisses() : 0;
+    const std::uint64_t snap_bypasses =
+        counters_on ? snapshotCacheThreadBypasses() : 0;
+
+    {
+        obs::TraceScope span("resolve");
+        out.error = resolveTrial(spec, ctx, &out.skipped);
+    }
+    if (!out.error.empty())
+        return out;
+
+    // A run guard that trips (TrialError) fails this trial only: the
+    // row carries the reason and the batch goes on.
+    try {
+        runTrial(spec, ctx, out);
+    } catch (const TrialError &e) {
+        out.error = e.what();
+        return out;
+    }
 
     if (counters_on) {
         auto set = std::make_shared<obs::CounterSet>(

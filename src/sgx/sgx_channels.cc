@@ -1,7 +1,6 @@
 #include "sgx/sgx_channels.hh"
 
 #include "common/logging.hh"
-#include "sim/executor.hh"
 
 namespace lf {
 
@@ -45,20 +44,8 @@ SgxNonMtChannelBase::transmitBit(bool bit)
     // Inside the enclave: init once, then many interleaved
     // encode/decode rounds. No per-round sync is needed — sender and
     // "receiver pattern" are phases of the same enclave code.
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-    for (int round = 0; round < sgxCfg_.rounds; ++round) {
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
+    runEncodeDecodeRounds(kThread, bit, sgxCfg_.rounds, *receiver_,
+                          *encodeOne_, encodeZero_.get());
     core_.clearProgram(kThread);
 
     core_.enclaveTransition(kThread);      // single enclave exit
@@ -156,32 +143,12 @@ SgxMtChannelBase::transmitBit(bool bit)
     if (bit)
         core_.enclaveTransition(kSender);
 
-    core_.setProgram(kReceiver, *receiver_);
-    runLoopIters(core_, kReceiver, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    double sum = 0.0;
-    int samples = 0;
-    for (int step = 0; step < sgxCfg_.mtSteps; ++step) {
-        if (bit) {
-            core_.setProgram(kSender, *encodeOne_);
-            core_.runUntilRetired(
-                kSender,
-                static_cast<std::uint64_t>(cfg_.mtSenderIters) *
-                    encodeOne_->chain.instsPerIteration);
-        }
-        for (int k = 0; k < sgxCfg_.mtMeasPerStep; ++k) {
-            chargeMeasurementOverhead();
-            sum += timedLoopIters(core_, kReceiver, *receiver_, 1);
-            ++samples;
-        }
-        if (bit)
-            core_.clearProgram(kSender);
-    }
-    core_.clearProgram(kReceiver);
+    const double mean = measureMtSteps(bit, sgxCfg_.mtSteps,
+                                       sgxCfg_.mtMeasPerStep, *receiver_,
+                                       *encodeOne_);
     if (bit)
         core_.enclaveTransition(kSender);
-    return sum / samples;
+    return mean;
 }
 
 SgxMtEvictionChannel::SgxMtEvictionChannel(Core &core,

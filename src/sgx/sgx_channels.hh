@@ -89,7 +89,6 @@ class SgxMtChannelBase : public CovertChannel
     double transmitBit(bool bit) override;
 
   protected:
-    static constexpr ThreadId kReceiver = 0;
     static constexpr ThreadId kSender = 1;
 
     SgxConfig sgxCfg_;

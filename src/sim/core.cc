@@ -1,10 +1,158 @@
 #include "sim/core.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 
 namespace lf {
+
+namespace {
+
+/** Feed one exact field to @p sink as 64-bit words. Maps go in key
+ *  order, so equal contents give equal words whatever the bucket
+ *  history. */
+template <class Sink, class T>
+void
+putWords(Sink &sink, const T &x)
+{
+    if constexpr (std::is_pointer_v<T>) {
+        sink(reinterpret_cast<std::uintptr_t>(x));
+    } else if constexpr (std::is_enum_v<T>) {
+        sink(static_cast<std::uint64_t>(x));
+    } else if constexpr (std::is_floating_point_v<T>) {
+        static_assert(sizeof(T) == sizeof(std::uint64_t));
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &x, sizeof bits);
+        sink(bits);
+    } else {
+        static_assert(std::is_integral_v<T>, "unlisted field type");
+        sink(static_cast<std::uint64_t>(x));
+    }
+}
+
+template <class Sink, class T>
+void
+putWords(Sink &sink, const std::vector<T> &xs)
+{
+    sink(xs.size());
+    for (const T &x : xs)
+        putWords(sink, x);
+}
+
+template <class Sink, class K, class M>
+void
+putWords(Sink &sink, const std::unordered_map<K, M> &map)
+{
+    std::vector<std::pair<K, M>> entries(map.begin(), map.end());
+    std::sort(entries.begin(), entries.end());
+    sink(entries.size());
+    for (const auto &[key, value] : entries) {
+        putWords(sink, key);
+        putWords(sink, value);
+    }
+}
+
+/** Word sinks: append to a vector, hash, or compare against a stored
+ *  key, so a probe never materializes a key it does not keep. */
+struct AppendWords
+{
+    std::vector<std::uint64_t> &out;
+    void operator()(std::uint64_t w) { out.push_back(w); }
+};
+
+struct HashWords
+{
+    std::uint64_t hash = 0;
+    void operator()(std::uint64_t w) { hash = splitmix64(hash ^ w); }
+};
+
+struct CompareWords
+{
+    const std::vector<std::uint64_t> &key;
+    std::size_t next = 0;
+    bool equal = true;
+    void operator()(std::uint64_t w)
+    {
+        equal = equal && next < key.size() && key[next] == w;
+        ++next;
+    }
+};
+
+/** The canonical key: exact fields verbatim, LRU stamps as ranks,
+ *  deadlines relative to their clock; monotone fields left out. */
+template <class Sink>
+struct KeyWriter
+{
+    Sink &sink;
+
+    template <class T>
+    void exact(const T &x) { putWords(sink, x); }
+    void monotone(const std::uint64_t &) {}
+    void stamp(const std::uint64_t &, std::uint64_t rank) { sink(rank); }
+    void deadline(const std::uint64_t &due, std::uint64_t clock)
+    {
+        sink(due > clock ? due - clock : 0);
+    }
+    void ring(const std::size_t &, std::size_t) {}
+};
+
+/** Raw values of every non-exact field, in visit order. */
+struct MonotoneReader
+{
+    std::vector<std::uint64_t> &out;
+
+    template <class T>
+    void exact(const T &) {}
+    void monotone(const std::uint64_t &x) { out.push_back(x); }
+    void stamp(const std::uint64_t &x, std::uint64_t) { out.push_back(x); }
+    void deadline(const std::uint64_t &x, std::uint64_t)
+    {
+        out.push_back(x);
+    }
+    void ring(const std::size_t &x, std::size_t) { out.push_back(x); }
+};
+
+/** x += periods * (x - before) for every non-exact field: each one
+ *  moves by the same amount in every period of a repeating state
+ *  (stamps and deadlines not touched in the period move by zero). */
+struct MonotoneAdvancer
+{
+    const std::vector<std::uint64_t> &before;
+    std::uint64_t periods;
+    std::size_t next = 0;
+
+    std::uint64_t step(std::uint64_t x)
+    {
+        return x + periods * (x - before[next++]);
+    }
+
+    template <class T>
+    void exact(const T &) {}
+    void monotone(std::uint64_t &x) { x = step(x); }
+    void stamp(std::uint64_t &x, std::uint64_t) { x = step(x); }
+    void deadline(std::uint64_t &x, std::uint64_t) { x = step(x); }
+    void ring(std::size_t &x, std::size_t mask) { x = step(x) & mask; }
+};
+
+/** Every field raw, in visit order. */
+struct ImageWriter
+{
+    AppendWords sink;
+
+    template <class T>
+    void exact(const T &x) { putWords(sink, x); }
+    void monotone(const std::uint64_t &x) { sink(x); }
+    void stamp(const std::uint64_t &x, std::uint64_t) { sink(x); }
+    void deadline(const std::uint64_t &x, std::uint64_t) { sink(x); }
+    void ring(const std::size_t &x, std::size_t) { sink(x); }
+};
+
+} // namespace
 
 Core::Core(const CpuModel &model, std::uint64_t seed)
     : model_(model), seed_(seed), engine_(model.frontend),
@@ -31,6 +179,8 @@ Core::reset(const CpuModel &model, std::uint64_t seed)
     for (auto &snapshot : raplSnapshot_)
         snapshot = PerfCounters{};
     raplSyncCycle_ = 0;
+    periodSkips_ = 0;
+    skippedPeriodCycles_ = 0;
 }
 
 Core::WarmState
@@ -63,6 +213,83 @@ Core::restoreWarmState(const WarmState &s)
         raplSnapshot_[static_cast<std::size_t>(tid)] =
             s.raplSnapshot[tid];
     raplSyncCycle_ = s.raplSyncCycle;
+}
+
+template <class V>
+void
+Core::visitState(V &v)
+{
+    v.exact(staticPartition_);
+    engine_.visitState(v);
+    backend_.visitState(v);
+    rapl_.visitState(v);
+    // RAPL sync state: constant inside a round loop (RAPL is read at
+    // slot boundaries only), so exact.
+    for (PerfCounters &snapshot : raplSnapshot_) {
+        PerfCounters::forEachMember(
+            [&](std::uint64_t PerfCounters::*m) { v.exact(snapshot.*m); });
+    }
+    v.exact(raplSyncCycle_);
+}
+
+// The readers below only read; visitState() is shared with the one
+// writer (advancePeriods) so each field is listed exactly once.
+
+std::uint64_t
+Core::canonicalHash() const
+{
+    HashWords sink;
+    KeyWriter<HashWords> writer{sink};
+    const_cast<Core *>(this)->visitState(writer);
+    return sink.hash;
+}
+
+void
+Core::canonicalKey(std::vector<std::uint64_t> &out) const
+{
+    out.clear();
+    AppendWords sink{out};
+    KeyWriter<AppendWords> writer{sink};
+    const_cast<Core *>(this)->visitState(writer);
+}
+
+bool
+Core::hasCanonicalKey(const std::vector<std::uint64_t> &key) const
+{
+    CompareWords sink{key};
+    KeyWriter<CompareWords> writer{sink};
+    const_cast<Core *>(this)->visitState(writer);
+    return sink.equal && sink.next == key.size();
+}
+
+void
+Core::monotoneState(std::vector<std::uint64_t> &out) const
+{
+    out.clear();
+    MonotoneReader reader{out};
+    const_cast<Core *>(this)->visitState(reader);
+}
+
+void
+Core::advancePeriods(const std::vector<std::uint64_t> &before,
+                     std::uint64_t periods)
+{
+    const Cycles from = cycle();
+    MonotoneAdvancer advancer{before, periods};
+    visitState(advancer);
+    lf_assert(advancer.next == before.size(),
+              "monotone field count changed within a period");
+    ++periodSkips_;
+    skippedPeriodCycles_ += cycle() - from;
+}
+
+std::vector<std::uint64_t>
+Core::stateImage() const
+{
+    std::vector<std::uint64_t> out;
+    ImageWriter writer{{out}};
+    const_cast<Core *>(this)->visitState(writer);
+    return out;
 }
 
 void
@@ -146,17 +373,17 @@ Core::runUntilRetired(ThreadId tid, std::uint64_t insts,
     const Cycles start = cycle();
     while (engine_.counters(tid).retiredInsts < target) {
         if (cycle() - start >= max_cycles) {
-            lf_panic("runUntilRetired: thread %d stuck after %llu cycles"
-                     " (%llu/%llu insts)", tid,
-                     static_cast<unsigned long long>(max_cycles),
-                     static_cast<unsigned long long>(
-                         engine_.counters(tid).retiredInsts),
-                     static_cast<unsigned long long>(target));
+            lf_trial_error("runUntilRetired: thread %d stuck after %llu"
+                           " cycles (%llu/%llu insts)", tid,
+                           static_cast<unsigned long long>(max_cycles),
+                           static_cast<unsigned long long>(
+                               engine_.counters(tid).retiredInsts),
+                           static_cast<unsigned long long>(target));
         }
         if (!engine_.threadRunnable(tid) &&
             engine_.idqOccupancy(tid) == 0) {
-            lf_panic("runUntilRetired: thread %d halted before reaching"
-                     " the retirement target", tid);
+            lf_trial_error("runUntilRetired: thread %d halted before"
+                           " reaching the retirement target", tid);
         }
         const Cycles burn = engine_.noOpCycles();
         if (burn > 0) {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "backend/backend.hh"
 #include "common/rng.hh"
@@ -94,9 +95,10 @@ class Core
     /**
      * Run the whole core until thread @p tid retires @p insts more
      * instructions (the sibling thread co-executes). Returns the
-     * elapsed cycles. Fatal if the deadlock guard elapses first:
-     * @p max_cycles when non-zero, otherwise the model's
-     * CpuModel::deadlockKcycles knob ("model.deadlock_kcycles").
+     * elapsed cycles. Throws TrialError if the thread halts first or
+     * the deadlock guard elapses first: @p max_cycles when non-zero,
+     * otherwise the model's CpuModel::deadlockKcycles knob
+     * ("model.deadlock_kcycles").
      */
     Cycles runUntilRetired(ThreadId tid, std::uint64_t insts,
                            Cycles max_cycles = 0);
@@ -179,7 +181,56 @@ class Core
     void restoreWarmState(const WarmState &s);
     /// @}
 
+    /** @name Steady-state period skipping (sim/period_skip.hh)
+     * Every component lists its state fields once (visitState()) as
+     * exact (compared in the canonical key), monotone (extrapolated
+     * across skipped periods, never compared), an LRU stamp (its rank
+     * in the set is the key form), a deadline (the key holds it
+     * relative to its clock) or a ring position (monotone modulo the
+     * ring). These calls are the driver's whole view of the core.
+     */
+    /// @{
+    /** False while a domain-switch hook is installed: the hook's
+     *  owner keeps state (a switch count) the core cannot list. */
+    bool periodSkipAllowed() const { return !domainSwitchHook_; }
+
+    /** Overwrite @p out with the canonical key of the current state:
+     *  equal keys mean identical behaviour from here on. */
+    void canonicalKey(std::vector<std::uint64_t> &out) const;
+
+    /** Hash of the canonical key, computed without building it. */
+    std::uint64_t canonicalHash() const;
+
+    /** True when the current canonical key equals @p key, checked
+     *  without building it. */
+    bool hasCanonicalKey(const std::vector<std::uint64_t> &key) const;
+
+    /** Overwrite @p out with the raw values of every monotone field
+     *  (the `before` of advancePeriods()). */
+    void monotoneState(std::vector<std::uint64_t> &out) const;
+
+    /**
+     * Jump @p periods whole periods ahead. Precondition: the core ran
+     * exactly one period since monotoneState() wrote @p before, and
+     * its canonical key is the same at both ends. Every monotone
+     * field x then becomes x + periods * (x - before).
+     */
+    void advancePeriods(const std::vector<std::uint64_t> &before,
+                        std::uint64_t periods);
+
+    /** Every state field, raw (stale ring bytes excepted): equal
+     *  images mean field-for-field equal cores. Used by tests. */
+    std::vector<std::uint64_t> stateImage() const;
+
+    /** Skips taken since reset() and the cycles they advanced. Not
+     *  machine state: outside every image and snapshot. */
+    std::uint64_t periodSkips() const { return periodSkips_; }
+    Cycles skippedPeriodCycles() const { return skippedPeriodCycles_; }
+    /// @}
+
   private:
+    template <class V>
+    void visitState(V &v);
     void syncRaplEnergy();
     void refreshPartitionState();
 
@@ -196,6 +247,9 @@ class Core
     /** Counter snapshots at the last RAPL energy sync. */
     PerfCounters raplSnapshot_[FrontendEngine::kNumThreads];
     Cycles raplSyncCycle_ = 0;
+
+    std::uint64_t periodSkips_ = 0;
+    Cycles skippedPeriodCycles_ = 0;
 };
 
 } // namespace lf

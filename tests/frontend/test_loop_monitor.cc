@@ -43,6 +43,29 @@ TEST(LoopMonitor, EngagesAfterWarmupIterations)
     EXPECT_EQ(monitor.bodyUops(), 15);
 }
 
+TEST(LoopMonitor, StableCountSaturatesAtWarmupThreshold)
+{
+    // The stable-iteration count stops at lsdWarmupIters: a loop that
+    // keeps closing identical iterations leaves the monitor in one
+    // repeating state, and it keeps engaging on every iteration.
+    FrontendParams p = params();
+    LoopMonitor monitor(p);
+    const std::vector<Addr> keys = {0x1000, 0x1400, 0x1800};
+    monitor.recordTakenBranch(0x1814, 0x1000);
+    EXPECT_FALSE(iterate(monitor, keys));
+    EXPECT_EQ(monitor.stableIters(), 1);
+    for (int it = 0; it < 10; ++it) {
+        EXPECT_TRUE(iterate(monitor, keys)) << it;
+        EXPECT_EQ(monitor.stableIters(), p.lsdWarmupIters) << it;
+    }
+    // A different body restarts the count from one, as before.
+    const std::vector<Addr> other = {0x1000, 0x1800};
+    EXPECT_FALSE(iterate(monitor, other));
+    EXPECT_EQ(monitor.stableIters(), 1);
+    EXPECT_TRUE(iterate(monitor, other));
+    EXPECT_EQ(monitor.stableIters(), p.lsdWarmupIters);
+}
+
 TEST(LoopMonitor, MiteDeliveredBodyDoesNotQualify)
 {
     FrontendParams p = params();

@@ -218,6 +218,37 @@ TEST(ExperimentRunner, SkippedPairReportsCleanly)
     EXPECT_NE(res[0].error.find("not supported"), std::string::npos);
 }
 
+TEST(ExperimentRunner, TrippedRunGuardIsAnErrorRow)
+{
+    // A legal but tiny deadlock guard: the slow-switch loop cannot
+    // retire a round in 1 kcycle. The trial becomes an error row (it
+    // used to abort the process), the batch goes on, and every thread
+    // count renders the same bytes.
+    ExperimentSpec stuck;
+    stuck.channel = "slow-switch";
+    stuck.cpu = "E-2174G";
+    stuck.messageBits = 8;
+    stuck.overrides["model.deadlock_kcycles"] = 1;
+    ExperimentSpec fine = stuck;
+    fine.overrides.clear();
+    const std::vector<ExperimentSpec> specs = {stuck, fine, stuck};
+
+    const auto res = ExperimentRunner(1).run(specs);
+    ASSERT_EQ(res.size(), 3u);
+    EXPECT_FALSE(res[0].ok);
+    EXPECT_FALSE(res[0].skipped);
+    EXPECT_NE(res[0].error.find("stuck after 1000 cycles"),
+              std::string::npos)
+        << res[0].error;
+    EXPECT_TRUE(res[1].ok) << res[1].error;
+    EXPECT_EQ(res[2].error, res[0].error);
+
+    const std::string json = JsonSink("t").render(res);
+    EXPECT_NE(json.find("\"error\":\"runUntilRetired: thread 0 stuck"),
+              std::string::npos);
+    EXPECT_EQ(JsonSink("t").render(ExperimentRunner(4).run(specs)), json);
+}
+
 TEST(Sinks, BenchJsonFileName)
 {
     EXPECT_EQ(benchJsonFileName("table3"), "BENCH_table3.json");

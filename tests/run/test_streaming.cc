@@ -22,6 +22,7 @@
 #include "run/sinks.hh"
 #include "run/sweep.hh"
 #include "sim/cpu_model.hh"
+#include "sim/period_skip.hh"
 #include "sim/snapshot.hh"
 
 namespace lf {
@@ -341,6 +342,57 @@ TEST(StreamingRunner, SnapshotCacheOnAndOffAreBitIdentical)
     // Leave no cross-test coupling behind: later tests must not see
     // snapshots captured under this test's grids.
     clearWarmSnapshotCache();
+}
+
+TEST(StreamingRunner, PeriodSkipOnAndOffAreBitIdentical)
+{
+    // Steady-state period skipping (sim/period_skip.hh) must be
+    // invisible: registry-wide, quiet and noisy, the rows render the
+    // same bytes with skipping forced off and on, at every thread
+    // count. The MT cells get enough steps to reach the skip path.
+    const auto lengthen = [](std::vector<ExperimentSpec> specs) {
+        for (ExperimentSpec &spec : specs) {
+            if (spec.channel.rfind("mt-", 0) == 0)
+                spec.overrides["mtSteps"] = 40;
+        }
+        return specs;
+    };
+    const auto quiet = lengthen(quietSnapshotGrid());
+    auto noisy = lengthen(registryGrid());
+    for (std::size_t i = 0; i < noisy.size(); i += 7)
+        noisy[i].overrides["env.corunner_intensity"] = 0.5;
+
+    std::string quiet_off;
+    std::string noisy_off;
+    {
+        PeriodSkipScope scope(false);
+        quiet_off = jsonOf(ExperimentRunner(1).run(quiet));
+        noisy_off = jsonOf(ExperimentRunner(1).run(noisy));
+    }
+
+    for (const int threads : {1, 4, 8}) {
+        PeriodSkipScope scope(true);
+        obs::CounterScope counters(true);
+        const auto quiet_on = ExperimentRunner(threads).run(quiet);
+        const auto noisy_on = ExperimentRunner(threads).run(noisy);
+        EXPECT_EQ(jsonOf(quiet_on), quiet_off)
+            << "skip on (quiet), threads=" << threads;
+        EXPECT_EQ(jsonOf(noisy_on), noisy_off)
+            << "skip on (noisy), threads=" << threads;
+        // And it did engage: every power/SGX/MT row skipped.
+        const auto loops = [](const std::string &ch) {
+            return ch.rfind("power-", 0) == 0 ||
+                ch.rfind("sgx-", 0) == 0 || ch.rfind("mt-", 0) == 0;
+        };
+        for (const auto *rows : {&quiet_on, &noisy_on}) {
+            for (const ExperimentResult &res : *rows) {
+                if (res.ok && loops(res.spec.channel)) {
+                    EXPECT_GT(res.counters->periodSkips, 0u)
+                        << res.spec.channel;
+                }
+            }
+        }
+    }
 }
 
 TEST(StreamingRunner, CountersOnAndOffAreBitIdentical)

@@ -4,9 +4,8 @@
  *
  *  1. A hand-timed ExperimentRunner throughput section (always runs,
  *     `--smoke` shrinks it for sanitizer CI): trials/sec at 1/4/8
- *     worker threads with per-worker core reuse vs a fresh Core per
- *     trial, emitted as BENCH_runner_throughput.json — the perf
- *     trajectory of the run layer.
+ *     worker threads, emitted as BENCH_runner_throughput.json — the
+ *     perf trajectory of the run layer.
  *  2. google-benchmark microbenchmarks of the substrate: core tick
  *     throughput, DSB lookups, Core reset-vs-construct cost,
  *     end-to-end covert-channel bit cost, and the run-layer
@@ -26,6 +25,7 @@
 #include "frontend/prepared.hh"
 #include "isa/mix_block.hh"
 #include "obs/counters.hh"
+#include "obs/metrics.hh"
 #include "run/report.hh"
 #include "run/sinks.hh"
 #include "run/sweep.hh"
@@ -212,8 +212,7 @@ emitRunnerThroughput(bool smoke, int repeat)
     const auto batch = expandTrials(throughputSpec(), trials);
     const unsigned hw_threads = std::thread::hardware_concurrency();
 
-    bench::banner("Runner throughput (per-worker core reuse vs fresh"
-                  " Core per trial)");
+    bench::banner("Runner throughput");
     bench::JsonReport report("runner_throughput");
     report.integer("trials", trials);
     report.integer("message_bits", 4);
@@ -222,44 +221,29 @@ emitRunnerThroughput(bool smoke, int repeat)
     report.boolean("smoke", smoke);
 
     double reused_t1 = 0.0;
-    double fresh_t1 = 0.0;
     double reused_t8 = 0.0;
-    std::printf("%8s  %18s  %18s\n", "threads", "reused (trials/s)",
-                "fresh (trials/s)");
+    std::printf("%8s  %18s\n", "threads", "trials/s");
     for (const int threads : {1, 4, 8}) {
-        ExperimentRunner reused(threads);
-        ExperimentRunner fresh(threads);
-        fresh.setCoreReuse(false);
-        // Fresh first, reused second: if anything, the warmed
-        // allocator favours the later run equally.
-        std::vector<double> fresh_samples;
         std::vector<double> reused_samples;
-        const double fresh_tps =
-            trialsPerSec(fresh, batch, reps, &fresh_samples);
-        const double reused_tps =
-            trialsPerSec(reused, batch, reps, &reused_samples);
-        std::printf("%8d  %18.1f  %18.1f\n", threads, reused_tps,
-                    fresh_tps);
+        const double reused_tps = trialsPerSec(
+            ExperimentRunner(threads), batch, reps, &reused_samples);
+        std::printf("%8d  %18.1f\n", threads, reused_tps);
         const std::string tag = "_t" + std::to_string(threads);
         report.number("reused" + tag + "_trials_per_sec", reused_tps);
-        report.number("fresh" + tag + "_trials_per_sec", fresh_tps);
         report.numberArray("reused" + tag + "_samples",
                            reused_samples);
-        report.numberArray("fresh" + tag + "_samples", fresh_samples);
-        if (threads == 1) {
+        if (threads == 1)
             reused_t1 = reused_tps;
-            fresh_t1 = fresh_tps;
-        }
         if (threads == 8)
             reused_t8 = reused_tps;
     }
 
-    // Legacy hot path, measured in-run: both caching layers off
-    // reproduces the PR-5-era per-trial setup cost (rebuild every
-    // chain, re-decode on every setProgram bind). The ratio checks
-    // that the program/chunk cache still pays for itself; the
-    // absolute trials/s above carry the full speedup trajectory
-    // against the recorded PR-5 baseline.
+    // Legacy hot path, measured in-run: the program cache off
+    // rebuilds and re-decodes every chain once per trial (the engine
+    // still memoises a decode across rebinds within a trial, and
+    // snapshots disengage). The ratio checks that the program cache
+    // still pays for itself; the absolute trials/s above carry the
+    // full speedup trajectory against the recorded PR-5 baseline.
     double legacy_t1 = 0.0;
     {
         ProgramCachingScope scope(false);
@@ -268,7 +252,7 @@ emitRunnerThroughput(bool smoke, int repeat)
     const double cache_speedup =
         legacy_t1 > 0.0 ? reused_t1 / legacy_t1 : 0.0;
     std::printf("\nsingle-thread hot path: tuned %.1f trials/s,"
-                " legacy (no program/chunk cache) %.1f trials/s"
+                " legacy (no program cache) %.1f trials/s"
                 " (%.2fx)\n", reused_t1, legacy_t1, cache_speedup);
     report.number("legacy_t1_trials_per_sec", legacy_t1);
     report.number("tuned_over_legacy_t1", cache_speedup);
@@ -346,10 +330,10 @@ emitRunnerThroughput(bool smoke, int repeat)
     // independent of scheduling, core count or consumer speed. The
     // pre-PR-7 runner broadcast to every worker once per delivered
     // row, which this check counts directly.
-    StreamStats stats;
+    obs::RunMetrics stats;
     {
         ExperimentRunner herd(4);
-        herd.setStatsSink(&stats);
+        herd.setMetricsSink(&stats);
         const int herd_rows = static_cast<int>(herd.reorderWindow()) - 8;
         const auto herd_batch =
             expandTrials(throughputSpec(), herd_rows);
@@ -381,8 +365,6 @@ emitRunnerThroughput(bool smoke, int repeat)
                 reset_ns > 0.0 ? construct_ns / reset_ns : 0.0);
     report.number("core_construct_ns", construct_ns);
     report.number("core_reset_ns", reset_ns);
-    report.number("reuse_speedup_t1",
-                  fresh_t1 > 0.0 ? reused_t1 / fresh_t1 : 0.0);
     // Thread-scaling ratio: on a host without 8 hardware threads the
     // t8 run oversubscribes and the ratio says nothing about the
     // runner — emit an explicit JSON null ("not measurable here"),

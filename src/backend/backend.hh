@@ -59,32 +59,6 @@ class Backend
     std::uint64_t retireSlotsUsed() const { return slotsUsed_; }
     /// @}
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * The engine pointer and issue width are identity/config, not
-     * state, and are not part of the image. */
-    /// @{
-    struct SavedState
-    {
-        std::array<Cycles, FrontendEngine::kNumThreads> lastRetire;
-        int rrStart;
-        std::uint64_t tickCycles;
-        std::uint64_t slotsUsed;
-    };
-
-    SavedState saveState() const
-    {
-        return {lastRetire_, rrStart_, tickCycles_, slotsUsed_};
-    }
-
-    void loadState(const SavedState &s)
-    {
-        lastRetire_ = s.lastRetire;
-        rrStart_ = s.rrStart;
-        tickCycles_ = s.tickCycles;
-        slotsUsed_ = s.slotsUsed;
-    }
-    /// @}
-
     /** List every state field once for the steady-state visitors
      *  (sim/period_skip.hh): the round-robin start is exact; retire
      *  stamps and slot tallies are monotone. */

@@ -256,7 +256,7 @@ class Defense
         bool haveWorstRate;
     };
 
-    WarmState saveWarmState() const
+    WarmState warmState() const
     {
         return {slots_,     switches_, worstObservable_,
                 haveWorst_, worstRate_, haveWorstRate_};

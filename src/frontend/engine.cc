@@ -2,7 +2,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "frontend/prepared.hh"
 
 namespace lf {
 
@@ -34,7 +33,6 @@ FrontendEngine::reset(const FrontendParams &params)
     for (auto &ts : threads_) {
         ts.program = nullptr;
         ts.chunks = nullptr;
-        ts.localTable.reset();
         ts.pc = 0;
         ts.nextChunk = nullptr;
         ts.halted = true;
@@ -53,83 +51,6 @@ FrontendEngine::reset(const FrontendParams &params)
         if (!ts.condCounts.empty())
             ts.condCounts.clear();
         ts.counters = PerfCounters{};
-    }
-}
-
-FrontendEngine::SavedState
-FrontendEngine::saveState() const
-{
-    const auto saveThread = [](const ThreadState &ts) {
-        lf_assert(ts.localTable == nullptr,
-                  "cannot snapshot a per-bind local decode");
-        return SavedThreadState{
-            ts.program,     ts.chunks,           ts.pc,
-            ts.nextChunk,   ts.halted,           ts.stall,
-            ts.lastSource,  ts.idq,              ts.lsdActive,
-            ts.lsdBody,     ts.lsdPos,           ts.lsdHead,
-            ts.monitor,     ts.nextIsBlockStart, ts.prevChunkLcp,
-            ts.pendingChunk, ts.pendingFromDsb,  ts.condCounts,
-            ts.counters};
-    };
-    SavedState s{l1i_,
-                 dsb_,
-                 bpu_,
-                 dsbEnabled_,
-                 lsdStaticPartition_,
-                 {{saveThread(threads_[0]), saveThread(threads_[1])}},
-                 cycle_,
-                 fastForwardedCycles_,
-                 lastSlot_,
-                 poisonDeadline_,
-                 blockClock_};
-    // The copied Dsb carries the source engine's eviction callback;
-    // neutralize it — the stored image is never ticked, and loadState
-    // reinstalls the destination engine's own callback.
-    s.dsb.setEvictCallback(nullptr);
-    return s;
-}
-
-void
-FrontendEngine::loadState(const SavedState &s)
-{
-    l1i_ = s.l1i;
-    dsb_ = s.dsb;
-    dsb_.setEvictCallback([this](ThreadId tid, Addr key) {
-        onDsbEvict(tid, key);
-    });
-    bpu_ = s.bpu;
-    dsbEnabled_ = s.dsbEnabled;
-    lsdStaticPartition_ = s.lsdStaticPartition;
-    cycle_ = s.cycle;
-    fastForwardedCycles_ = s.fastForwardedCycles;
-    lastSlot_ = s.lastSlot;
-    poisonDeadline_ = s.poisonDeadline;
-    blockClock_ = s.blockClock;
-    tableMemo_.clear(); // restored threads never point into the memo
-    for (int tid = 0; tid < kNumThreads; ++tid) {
-        ThreadState &ts = threads_[static_cast<std::size_t>(tid)];
-        const SavedThreadState &st =
-            s.threads[static_cast<std::size_t>(tid)];
-        ts.program = st.program;
-        ts.chunks = st.chunks;
-        ts.localTable.reset();
-        ts.pc = st.pc;
-        ts.nextChunk = st.nextChunk;
-        ts.halted = st.halted;
-        ts.stall = st.stall;
-        ts.lastSource = st.lastSource;
-        ts.idq = st.idq;
-        ts.lsdActive = st.lsdActive;
-        ts.lsdBody = st.lsdBody;
-        ts.lsdPos = st.lsdPos;
-        ts.lsdHead = st.lsdHead;
-        ts.monitor = st.monitor;
-        ts.nextIsBlockStart = st.nextIsBlockStart;
-        ts.prevChunkLcp = st.prevChunkLcp;
-        ts.pendingChunk = st.pendingChunk;
-        ts.pendingFromDsb = st.pendingFromDsb;
-        ts.condCounts = st.condCounts;
-        ts.counters = st.counters;
     }
 }
 
@@ -165,20 +86,11 @@ FrontendEngine::lsdActive(ThreadId tid) const
 }
 
 const ChunkTable *
-FrontendEngine::resolveTable(ThreadState &ts, const Program *program,
+FrontendEngine::resolveTable(const Program *program,
                              const ChunkTable *table)
 {
-    if (!program) {
-        ts.localTable.reset();
+    if (!program)
         return nullptr;
-    }
-    if (!chunkTableReuseEnabled()) {
-        // Legacy rebind cost (bench baseline): re-decode the whole
-        // image on every bind, as the pre-PR-7 engine did. The decode
-        // is identical, only the work is repeated.
-        ts.localTable = std::make_unique<ChunkTable>(*program, params_);
-        return ts.localTable.get();
-    }
     if (table)
         return table;
     auto &slot = tableMemo_[program->uid()];
@@ -193,7 +105,7 @@ FrontendEngine::setProgram(ThreadId tid, const Program *program,
 {
     ThreadState &ts = state(tid);
     ts.program = program;
-    ts.chunks = resolveTable(ts, program, table);
+    ts.chunks = resolveTable(program, table);
     ts.pc = program ? program->entry() : 0;
     ts.nextChunk = nullptr;
     ts.halted = (program == nullptr);

@@ -67,18 +67,17 @@ class UopQueue
             round <<= 1;
         buf_.assign(round, 0);
         mask_ = round - 1;
-        head_ = tail_ = size_ = 0;
+        head_ = size_ = 0;
     }
 
-    void clear() { head_ = tail_ = size_ = 0; }
+    void clear() { head_ = size_ = 0; }
     bool empty() const { return size_ == 0; }
     int size() const { return static_cast<int>(size_); }
 
     void push(std::uint8_t end_of_inst)
     {
         lf_assert(size_ < capacity_, "IDQ overflow");
-        buf_[tail_] = end_of_inst;
-        tail_ = (tail_ + 1) & mask_;
+        buf_[(head_ + size_) & mask_] = end_of_inst;
         ++size_;
     }
 
@@ -87,12 +86,11 @@ class UopQueue
     {
         lf_assert(size_ + static_cast<std::size_t>(n) <= capacity_,
                   "IDQ overflow");
-        std::size_t t = tail_;
+        std::size_t t = (head_ + size_) & mask_;
         for (int i = 0; i < n; ++i) {
             buf_[t] = flags[i];
             t = (t + 1) & mask_;
         }
-        tail_ = t;
         size_ += static_cast<std::size_t>(n);
     }
 
@@ -129,7 +127,8 @@ class UopQueue
      * and the ring position is monotone modulo the buffer size (it
      * moves but never changes behaviour). Flags outside the live
      * window are stale and not state. When a visitor moves the head,
-     * the live flags move with it.
+     * the live flags move with it. The tail is always head + size,
+     * so it follows any change a visitor makes.
      */
     template <class V>
     void visitState(V &v)
@@ -153,14 +152,12 @@ class UopQueue
         head_ = head;
         for (std::size_t i = 0; i < size_; ++i)
             buf_[(head_ + i) & mask_] = live[i];
-        tail_ = (head_ + size_) & mask_;
     }
 
     std::vector<std::uint8_t> buf_;
     std::size_t mask_ = 0;
     std::size_t capacity_ = 0;
     std::size_t head_ = 0;
-    std::size_t tail_ = 0;
     std::size_t size_ = 0;
 };
 
@@ -183,9 +180,7 @@ class FrontendEngine
      * supplied @p table (a prepared program's shared immutable
      * decode), then the engine's per-run memo keyed by Program::uid()
      * (so rebinding the same image never re-decodes it), and only
-     * then a fresh build. With setChunkTableReuseEnabled(false) every
-     * bind re-decodes — the pre-PR-7 cost the throughput bench uses
-     * as its baseline. Identical decode either way.
+     * then a fresh build. Identical decode either way.
      *
      * A caller-supplied @p table must describe @p program and must
      * outlive the binding (the PreparedChain contract).
@@ -203,6 +198,16 @@ class FrontendEngine
     /** Thread has a program and has not halted. */
     bool threadRunnable(ThreadId tid) const;
     bool threadHasProgram(ThreadId tid) const;
+
+    /** The thread's bound program and its decode (null when idle). */
+    const Program *boundProgram(ThreadId tid) const
+    {
+        return state(tid).program;
+    }
+    const ChunkTable *boundTable(ThreadId tid) const
+    {
+        return state(tid).chunks;
+    }
     /// @}
 
     /** Advance the frontend by one core cycle. */
@@ -324,66 +329,6 @@ class FrontendEngine
     bool lsdActive(ThreadId tid) const;
     /// @}
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * A deep copy of every mutable field except params_ (config, not
-     * state: images are only restored onto an engine reset with the
-     * same resolved model) and tableMemo_ (pure memoization — the
-     * restored threads never point into it, see the localTable
-     * precondition on saveState()).
-     *
-     * Pointer lifetime is the caller's contract: program / chunks and
-     * the chunk pointers derived from them must outlive the image.
-     * The snapshot layer guarantees it by pinning the owning
-     * PreparedChains (frontend/prepared.hh) and bypassing every
-     * configuration where a thread's decode is not cache-owned.
-     */
-    /// @{
-    struct SavedThreadState
-    {
-        const Program *program;
-        const ChunkTable *chunks;
-        Addr pc;
-        const Chunk *nextChunk;
-        bool halted;
-        Cycles stall;
-        DeliveryPath lastSource;
-        UopQueue idq;
-        bool lsdActive;
-        std::vector<std::uint8_t> lsdBody;
-        std::size_t lsdPos;
-        Addr lsdHead;
-        LoopMonitor monitor;
-        bool nextIsBlockStart;
-        bool prevChunkLcp;
-        const Chunk *pendingChunk;
-        bool pendingFromDsb;
-        std::vector<std::uint64_t> condCounts;
-        PerfCounters counters;
-    };
-
-    struct SavedState
-    {
-        L1iCache l1i;
-        Dsb dsb;
-        Bpu bpu;
-        bool dsbEnabled;
-        bool lsdStaticPartition;
-        std::array<SavedThreadState, kNumThreads> threads;
-        Cycles cycle;
-        Cycles fastForwardedCycles;
-        int lastSlot;
-        std::vector<std::uint64_t> poisonDeadline;
-        std::uint64_t blockClock;
-    };
-
-    /** Precondition: no thread holds a per-bind localTable (fatal
-     *  otherwise — such decodes die with the trial and cannot be
-     *  pinned). */
-    SavedState saveState() const;
-
-    void loadState(const SavedState &s);
-    /// @}
-
     /**
      * List every state field once for the steady-state visitors
      * (sim/period_skip.hh). Clocks, counters and statistics are
@@ -439,11 +384,9 @@ class FrontendEngine
         }
 
         const Program *program = nullptr;
-        /** Active decode; points at a caller table, a tableMemo_
-         *  entry, or localTable. */
+        /** Active decode; points at a caller table or a tableMemo_
+         *  entry. */
         const ChunkTable *chunks = nullptr;
-        /** Fresh-per-bind decode used when table reuse is disabled. */
-        std::unique_ptr<ChunkTable> localTable;
         Addr pc = 0;
         /** chunks->get(pc), when the last chunk's successor pointer
          *  already resolved it; null forces a table lookup. */
@@ -476,7 +419,7 @@ class FrontendEngine
     ThreadState &state(ThreadId tid);
     const ThreadState &state(ThreadId tid) const;
 
-    const ChunkTable *resolveTable(ThreadState &ts, const Program *program,
+    const ChunkTable *resolveTable(const Program *program,
                                    const ChunkTable *table);
     bool deliverable(const ThreadState &ts) const;
     void deliver(ThreadId tid);

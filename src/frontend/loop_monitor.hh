@@ -86,7 +86,8 @@ class LoopMonitor
 
     /** List every state field once for the steady-state visitors
      *  (sim/period_skip.hh). All are exact; the saturating
-     *  stableIters_ is what keeps a steady loop's state finite. */
+     *  stableIters_ is what keeps a steady loop's state finite. The
+     *  record count goes first, so an image loader can size accum_. */
     template <class V>
     void visitState(V &v)
     {
@@ -94,8 +95,11 @@ class LoopMonitor
         v.exact(warmupIters_);
         v.exact(head_);
         v.exact(stableIters_);
-        v.exact(accum_.size());
-        for (const ChunkRecord &record : accum_) {
+        std::size_t records = accum_.size();
+        v.exact(records);
+        if (records != accum_.size())
+            accum_.resize(records);
+        for (ChunkRecord &record : accum_) {
             v.exact(record.key);
             v.exact(record.uops);
             v.exact(record.fromDsb);

@@ -12,7 +12,6 @@ namespace lf {
 namespace {
 
 std::atomic<bool> g_programCacheEnabled{true};
-std::atomic<bool> g_chunkTableReuseEnabled{true};
 
 std::atomic<std::uint64_t> g_preparedHits{0};
 std::atomic<std::uint64_t> g_preparedMisses{0};
@@ -163,18 +162,6 @@ bool
 programCacheEnabled()
 {
     return g_programCacheEnabled.load(std::memory_order_relaxed);
-}
-
-void
-setChunkTableReuseEnabled(bool on)
-{
-    g_chunkTableReuseEnabled.store(on, std::memory_order_relaxed);
-}
-
-bool
-chunkTableReuseEnabled()
-{
-    return g_chunkTableReuseEnabled.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

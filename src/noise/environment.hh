@@ -208,7 +208,7 @@ class Environment
         double driftUj;
     };
 
-    WarmState saveWarmState() const
+    WarmState warmState() const
     {
         return {slots_, preempted_, preemptCycles_, driftUj_};
     }

@@ -1,11 +1,11 @@
 /**
  * @file
  * RunMetrics: the structured end-of-run report of one streaming
- * ExperimentRunner::run() — the evolution of the bare StreamStats
- * park/broadcast counters into a full throughput/caching/occupancy
- * summary. Install with ExperimentRunner::setMetricsSink(); render
- * with renderRunMetricsJson() (`lf_run --metrics FILE`) or the
- * one-line form the `--progress` final line prints.
+ * ExperimentRunner::run() — throughput, outcome counts, runner
+ * park/broadcast counters, caching and window occupancy. Install
+ * with ExperimentRunner::setMetricsSink(); render with
+ * renderRunMetricsJson() (`lf_run --metrics FILE`) or the one-line
+ * form the `--progress` final line prints.
  *
  * Everything here is observational: wall-clock seconds and rates vary
  * run to run, but collecting them never touches trial results.
@@ -38,10 +38,15 @@ struct RunMetrics
     double trialsPerSec = 0.0;
     /// @}
 
-    /** @name Runner coordination (the former StreamStats) */
+    /** @name Runner coordination */
     /// @{
+    /** Times a worker blocked because it was a full reorder window
+     *  ahead of delivery. */
     std::uint64_t workerParks = 0;
+    /** Times the consumer blocked waiting for the next result. */
     std::uint64_t consumerParks = 0;
+    /** Slot-free broadcasts issued (only ever sent while at least one
+     *  worker is parked). */
     std::uint64_t wakeBroadcasts = 0;
     /// @}
 

@@ -48,38 +48,11 @@ class RaplCounter
 
     const RaplParams &params() const { return params_; }
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * Everything deterministic about the counter — the private Rng is
-     * deliberately excluded: it belongs to the trial seed, never to a
-     * shared snapshot. */
-    /// @{
-    struct SavedState
-    {
-        MicroJoules trueEnergy;
-        MicroJoules visibleEnergy;
-        Cycles lastAccumulateCycle;
-        Cycles lastRefreshCycle;
-    };
-
-    SavedState saveState() const
-    {
-        return {trueEnergy_, visibleEnergy_, lastAccumulateCycle_,
-                lastRefreshCycle_};
-    }
-
-    void loadState(const SavedState &s)
-    {
-        trueEnergy_ = s.trueEnergy;
-        visibleEnergy_ = s.visibleEnergy;
-        lastAccumulateCycle_ = s.lastAccumulateCycle;
-        lastRefreshCycle_ = s.lastRefreshCycle;
-    }
-    /// @}
-
     /** List the counter's state once for the steady-state visitors
-     *  (sim/period_skip.hh). Round loops never read RAPL, so all of
-     *  it is exact (a loop that did would change the energies and
-     *  never repeat); the Rng is excluded as for snapshots. */
+     *  (sim/period_skip.hh) and the warm-snapshot image. Round loops
+     *  never read RAPL, so all of it is exact (a loop that did would
+     *  change the energies and never repeat). The Rng is left out: it
+     *  belongs to the trial seed, never to a shared snapshot. */
     template <class V>
     void visitState(V &v)
     {

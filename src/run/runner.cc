@@ -23,11 +23,10 @@ namespace {
 /** One trial, exception-safe: anything thrown becomes an error row so
  *  a bad spec never kills a worker. */
 ExperimentResult
-runOne(const ExperimentSpec &spec, TrialContext *ctx)
+runOne(const ExperimentSpec &spec, TrialContext &ctx)
 {
     try {
-        return ctx != nullptr ? runExperiment(spec, *ctx)
-                              : runExperiment(spec);
+        return runExperiment(spec, ctx);
     } catch (const std::exception &e) {
         ExperimentResult out;
         out.spec = spec;
@@ -93,10 +92,10 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         std::min<std::size_t>(n, static_cast<std::size_t>(threads_)));
 
     // Metrics are accumulated locally and copied into the sink at the
-    // end, mirroring the StreamStats contract. The prepared-cache
-    // totals are process-wide, so the delta attributes concurrent
-    // runs' traffic too — one runner at a time, the normal case, is
-    // exact.
+    // end, so the sink is overwritten, never accumulated. The
+    // prepared-cache totals are process-wide, so the delta attributes
+    // concurrent runs' traffic too — one runner at a time, the normal
+    // case, is exact.
     obs::RunMetrics metrics;
     const std::uint64_t prep_hits =
         metricsSink_ != nullptr ? preparedCacheHits() : 0;
@@ -134,13 +133,12 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         // Single-threaded: compute and deliver inline. Both stream
         // orders coincide with spec order.
         TrialContext ctx;
-        TrialContext *reuse = coreReuse_ ? &ctx : nullptr;
         for (std::size_t i = 0; i < n; ++i) {
             if (trialProbe_)
                 trialProbe_(i, i);
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            const ExperimentResult res = runOne(specs[i], reuse);
+            const ExperimentResult res = runOne(specs[i], ctx);
             obs::traceComplete("trial", trial_start, i, true);
             if (metricsSink_ != nullptr) {
                 count_outcome(res);
@@ -151,8 +149,6 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
             on_result(res);
             obs::traceComplete("deliver", deliver_start);
         }
-        if (statsSink_ != nullptr)
-            *statsSink_ = StreamStats{};
         finish_metrics(reorderWindowFor(1));
         return;
     }
@@ -193,7 +189,6 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
 
     auto work = [&]() {
         TrialContext ctx;
-        TrialContext *reuse = coreReuse_ ? &ctx : nullptr;
         for (;;) {
             const std::uint64_t i = next.fetch_add(1);
             if (i >= n)
@@ -217,7 +212,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
                 trialProbe_(i, delivered.load());
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            slot.result = runOne(specs[i], reuse);
+            slot.result = runOne(specs[i], ctx);
             obs::traceComplete("trial", trial_start, i, true);
             slot.seq.store(i + 1); // publish (seq_cst)
             if (consumerParked.load()) {
@@ -336,11 +331,6 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         throw;
     }
     shutdown();
-    if (statsSink_ != nullptr) {
-        statsSink_->workerParks = workerParks.load();
-        statsSink_->consumerParks = consumerParks.load();
-        statsSink_->wakeBroadcasts = wakeBroadcasts.load();
-    }
     if (metricsSink_ != nullptr) {
         metrics.workerParks = workerParks.load();
         metrics.consumerParks = consumerParks.load();

@@ -61,21 +61,6 @@ enum class StreamOrder
     Completion,
 };
 
-/** Coordination counters of one streaming run() (diagnostics: the
- *  throughput bench emits them and gates against wakeup storms). */
-struct StreamStats
-{
-    /** Times a worker blocked because it was a full reorder window
-     *  ahead of delivery. */
-    std::uint64_t workerParks = 0;
-    /** Times the consumer blocked waiting for the next result. */
-    std::uint64_t consumerParks = 0;
-    /** slot-free broadcasts issued (only ever sent while at least
-     *  one worker is parked; the pre-PR-7 runner broadcast once per
-     *  delivered row unconditionally). */
-    std::uint64_t wakeBroadcasts = 0;
-};
-
 class ExperimentRunner
 {
   public:
@@ -84,15 +69,6 @@ class ExperimentRunner
 
     /** Resolved worker count (>= 1). */
     int threads() const { return threads_; }
-
-    /**
-     * Per-worker Core reuse (default on): workers rebind one
-     * TrialContext per trial instead of constructing a fresh Core.
-     * Turning it off is only interesting for benchmarking the reuse
-     * win — results are bit-identical either way.
-     */
-    void setCoreReuse(bool on) { coreReuse_ = on; }
-    bool coreReuse() const { return coreReuse_; }
 
     /** Reorder-window size (slots) a streaming run of this runner
      *  uses: how far workers may run ahead of delivery. */
@@ -122,11 +98,6 @@ class ExperimentRunner
     {
         trialProbe_ = std::move(probe);
     }
-
-    /** Overwrite @p sink with the coordination counters at the end
-     *  of every streaming run() (null, the default, disables the
-     *  accounting). The sink must outlive the runs. */
-    void setStatsSink(StreamStats *sink) { statsSink_ = sink; }
 
     /** Overwrite @p sink with the full obs::RunMetrics report
      *  (throughput, outcome counts, park/broadcast totals, prepared-
@@ -164,9 +135,7 @@ class ExperimentRunner
 
   private:
     int threads_;
-    bool coreReuse_ = true;
     TrialProbe trialProbe_;
-    StreamStats *statsSink_ = nullptr;
     obs::RunMetrics *metricsSink_ = nullptr;
 };
 

@@ -57,12 +57,61 @@ putWords(Sink &sink, const std::unordered_map<K, M> &map)
     }
 }
 
-/** Word sinks: append to a vector, hash, or compare against a stored
- *  key, so a probe never materializes a key it does not keep. */
+/** Read one field back from @p next, the inverse of putWords().
+ *  Vectors and maps take their length from the words, so a loader
+ *  sizes them. */
+template <class Source, class T>
+void
+getWords(Source &next, T &x)
+{
+    if constexpr (std::is_pointer_v<T>) {
+        x = reinterpret_cast<T>(static_cast<std::uintptr_t>(next()));
+    } else if constexpr (std::is_floating_point_v<T>) {
+        const std::uint64_t bits = next();
+        std::memcpy(&x, &bits, sizeof bits);
+    } else {
+        static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
+                      "unlisted field type");
+        x = static_cast<T>(next());
+    }
+}
+
+template <class Source, class T>
+void
+getWords(Source &next, std::vector<T> &xs)
+{
+    xs.resize(static_cast<std::size_t>(next()));
+    for (T &x : xs)
+        getWords(next, x);
+}
+
+template <class Source, class K, class M>
+void
+getWords(Source &next, std::unordered_map<K, M> &map)
+{
+    map.clear();
+    const std::uint64_t entries = next();
+    for (std::uint64_t i = 0; i < entries; ++i) {
+        K key{};
+        M value{};
+        getWords(next, key);
+        getWords(next, value);
+        map.emplace(key, value);
+    }
+}
+
+/** Word sinks: append to a vector, count, hash, or compare against a
+ *  stored key, so a probe never materializes a key it does not keep. */
 struct AppendWords
 {
     std::vector<std::uint64_t> &out;
     void operator()(std::uint64_t w) { out.push_back(w); }
+};
+
+struct CountWords
+{
+    std::size_t words = 0;
+    void operator()(std::uint64_t) { ++words; }
 };
 
 struct HashWords
@@ -140,9 +189,10 @@ struct MonotoneAdvancer
 };
 
 /** Every field raw, in visit order. */
+template <class Sink>
 struct ImageWriter
 {
-    AppendWords sink;
+    Sink &sink;
 
     template <class T>
     void exact(const T &x) { putWords(sink, x); }
@@ -150,6 +200,26 @@ struct ImageWriter
     void stamp(const std::uint64_t &x, std::uint64_t) { sink(x); }
     void deadline(const std::uint64_t &x, std::uint64_t) { sink(x); }
     void ring(const std::size_t &x, std::size_t) { sink(x); }
+};
+
+/** Every field raw, in visit order, written back from an image. */
+struct ImageReader
+{
+    const std::vector<std::uint64_t> &image;
+    std::size_t next = 0;
+
+    std::uint64_t operator()()
+    {
+        lf_assert(next < image.size(), "state image too short");
+        return image[next++];
+    }
+
+    template <class T>
+    void exact(T &x) { getWords(*this, x); }
+    void monotone(std::uint64_t &x) { x = (*this)(); }
+    void stamp(std::uint64_t &x, std::uint64_t) { x = (*this)(); }
+    void deadline(std::uint64_t &x, std::uint64_t) { x = (*this)(); }
+    void ring(std::size_t &x, std::size_t) { x = (*this)(); }
 };
 
 } // namespace
@@ -183,38 +253,6 @@ Core::reset(const CpuModel &model, std::uint64_t seed)
     skippedPeriodCycles_ = 0;
 }
 
-Core::WarmState
-Core::saveWarmState() const
-{
-    WarmState s{engine_.saveState(),
-                backend_.saveState(),
-                rapl_.saveState(),
-                staticPartition_,
-                {},
-                raplSyncCycle_};
-    for (int tid = 0; tid < FrontendEngine::kNumThreads; ++tid)
-        s.raplSnapshot[tid] =
-            raplSnapshot_[static_cast<std::size_t>(tid)];
-    return s;
-}
-
-void
-Core::restoreWarmState(const WarmState &s)
-{
-    engine_.loadState(s.engine);
-    backend_.loadState(s.backend);
-    rapl_.loadState(s.rapl);
-    // Raw assignment, not setStaticPartition(): the restored Dsb
-    // image already carries the correct partitioned mapping, and a
-    // refreshPartitionState() here could flush restored LSD state
-    // through a spurious partition transition.
-    staticPartition_ = s.staticPartition;
-    for (int tid = 0; tid < FrontendEngine::kNumThreads; ++tid)
-        raplSnapshot_[static_cast<std::size_t>(tid)] =
-            s.raplSnapshot[tid];
-    raplSyncCycle_ = s.raplSyncCycle;
-}
-
 template <class V>
 void
 Core::visitState(V &v)
@@ -232,8 +270,9 @@ Core::visitState(V &v)
     v.exact(raplSyncCycle_);
 }
 
-// The readers below only read; visitState() is shared with the one
-// writer (advancePeriods) so each field is listed exactly once.
+// The readers below only read; visitState() is shared with the two
+// writers (advancePeriods, loadStateImage) so each field is listed
+// exactly once.
 
 std::uint64_t
 Core::canonicalHash() const
@@ -286,10 +325,29 @@ Core::advancePeriods(const std::vector<std::uint64_t> &before,
 std::vector<std::uint64_t>
 Core::stateImage() const
 {
+    // Sized exactly first: snapshots keep images for a whole run.
+    CountWords count;
+    ImageWriter<CountWords> sizer{count};
+    const_cast<Core *>(this)->visitState(sizer);
     std::vector<std::uint64_t> out;
-    ImageWriter writer{{out}};
+    out.reserve(count.words);
+    AppendWords sink{out};
+    ImageWriter<AppendWords> writer{sink};
     const_cast<Core *>(this)->visitState(writer);
     return out;
+}
+
+void
+Core::loadStateImage(const std::vector<std::uint64_t> &image)
+{
+    // staticPartition_ is written raw, not through
+    // setStaticPartition(): the image's Dsb already carries the
+    // matching mapping, and a refreshPartitionState() here could
+    // flush loaded LSD state through a spurious transition.
+    ImageReader reader{image};
+    visitState(reader);
+    lf_assert(reader.next == image.size(),
+              "state image does not match this core's model");
 }
 
 void

@@ -148,46 +148,15 @@ class Core
     /** Counter snapshot for @p tid. */
     const PerfCounters &counters(ThreadId tid) const;
 
-    /** @name Warm-state snapshot (sim/snapshot.hh)
-     * Everything deterministic about the core after a calibration
-     * preamble: the frontend/backend images, the RAPL counter's
-     * energy state, and the SMT partition pin. Deliberately excluded:
-     * model_ and seed_ (identity — the snapshot key covers the model,
-     * and seeds differ per trial by design), both Rngs (a snapshot is
-     * only valid when calibration drew nothing, so RNG state needs no
-     * restoring), and the domain-switch hook (it belongs to whichever
-     * Defense is armed on this core right now).
-     */
-    /// @{
-    struct WarmState
-    {
-        FrontendEngine::SavedState engine;
-        Backend::SavedState backend;
-        RaplCounter::SavedState rapl;
-        bool staticPartition;
-        PerfCounters raplSnapshot[FrontendEngine::kNumThreads];
-        Cycles raplSyncCycle;
-    };
-
-    WarmState saveWarmState() const;
-
-    /**
-     * Overwrite this core's mutable simulation state with @p s.
-     * Precondition: this core was reset with the same resolved model
-     * as the snapshot source (the snapshot key guarantees it), and
-     * any armed Defense has already run arm() — restore then replays
-     * the post-calibration state on top.
-     */
-    void restoreWarmState(const WarmState &s);
-    /// @}
-
-    /** @name Steady-state period skipping (sim/period_skip.hh)
+    /** @name Machine state: period skipping and warm snapshots
      * Every component lists its state fields once (visitState()) as
      * exact (compared in the canonical key), monotone (extrapolated
      * across skipped periods, never compared), an LRU stamp (its rank
      * in the set is the key form), a deadline (the key holds it
      * relative to its clock) or a ring position (monotone modulo the
-     * ring). These calls are the driver's whole view of the core.
+     * ring). These calls are the period-skip driver's
+     * (sim/period_skip.hh) whole view of the core; the raw image pair
+     * is also the warm snapshot's (sim/snapshot.hh).
      */
     /// @{
     /** False while a domain-switch hook is installed: the hook's
@@ -219,8 +188,22 @@ class Core
                         std::uint64_t periods);
 
     /** Every state field, raw (stale ring bytes excepted): equal
-     *  images mean field-for-field equal cores. Used by tests. */
+     *  images mean field-for-field equal cores. The warm-snapshot
+     *  layer (sim/snapshot.hh) stores it. Left out: model_ and seed_
+     *  (identity), both Rngs (a snapshot is only taken when nothing
+     *  drew), and the domain-switch hook (it belongs to whichever
+     *  Defense is armed on this core). */
     std::vector<std::uint64_t> stateImage() const;
+
+    /**
+     * Overwrite every state field with its value in @p image, a
+     * stateImage() of another core. Precondition: this core was reset
+     * with the same resolved model as the image's source (fixed-size
+     * arrays are not resized), and any armed Defense has already run
+     * arm(). The image's program and chunk pointers must still be
+     * alive (the snapshot layer pins them).
+     */
+    void loadStateImage(const std::vector<std::uint64_t> &image);
 
     /** Skips taken since reset() and the cycles they advanced. Not
      *  machine state: outside every image and snapshot. */

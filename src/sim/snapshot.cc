@@ -54,11 +54,9 @@ snapshotCacheEnabled()
 bool
 warmSnapshotsApplicable()
 {
-    // Both prepared-cache layers must be on: with program caching or
-    // chunk-table reuse off, a trial's decode lives in (or is memoised
-    // by) the engine itself and cannot be pinned by a snapshot.
-    return snapshotCacheEnabled() && programCacheEnabled() &&
-        chunkTableReuseEnabled();
+    // With program caching off, a trial's decode is memoised by the
+    // engine itself and cannot be pinned by a snapshot.
+    return snapshotCacheEnabled() && programCacheEnabled();
 }
 
 SnapshotOutcome
@@ -113,35 +111,34 @@ captureWarmSnapshot(TrialContext &ctx,
 {
     lf_assert(calib.rngUntouched,
               "capturing a snapshot of seed-dependent state");
-    if (!chunkTableReuseEnabled())
-        return nullptr; // per-bind local decodes die with the trial
 
-    Core::WarmState core = ctx.core().saveWarmState();
-
-    // Pin every bound decode. The engine image holds raw pointers
-    // into PreparedChains (program, chunk table, chunk successor
-    // links); a thread whose decode is not owned by the prepared
-    // cache (hand-bound program, memoised caller table) makes the
-    // whole cell non-snapshottable.
+    // Pin every bound decode. The core image holds raw pointers into
+    // PreparedChains (program, chunk table, chunk successor links); a
+    // thread whose decode is not owned by the prepared cache
+    // (hand-bound program, memoised caller table) makes the whole
+    // cell non-snapshottable.
+    const FrontendEngine &engine = ctx.core().frontend();
     std::vector<PreparedChainPtr> pins;
-    for (const auto &ts : core.engine.threads) {
-        if (ts.program == nullptr)
+    for (ThreadId tid = 0; tid < FrontendEngine::kNumThreads; ++tid) {
+        const Program *program = engine.boundProgram(tid);
+        if (program == nullptr)
             continue;
-        PreparedChainPtr pin = findPreparedChain(ts.program, ts.chunks);
+        PreparedChainPtr pin =
+            findPreparedChain(program, engine.boundTable(tid));
         if (!pin)
             return nullptr;
         pins.push_back(std::move(pin));
     }
 
     return std::make_shared<const WarmSnapshot>(WarmSnapshot{
-        std::move(core), ctx.environment().saveWarmState(),
-        ctx.defense().saveWarmState(), calib, std::move(pins)});
+        ctx.core().stateImage(), ctx.environment().warmState(),
+        ctx.defense().warmState(), calib, std::move(pins)});
 }
 
 void
 restoreWarmSnapshot(TrialContext &ctx, const WarmSnapshot &snap)
 {
-    ctx.core().restoreWarmState(snap.core);
+    ctx.core().loadStateImage(snap.core);
     ctx.environment().loadWarmState(snap.environment);
     ctx.defense().loadWarmState(snap.defense);
 }

@@ -25,7 +25,7 @@
  *    stochastic defenses and non-zero model noise all trip it, and
  *    those cells transparently fall back to the cold path (a negative
  *    cache entry remembers the verdict).
- *  - Pointer pinning: an engine image holds pointers into shared
+ *  - Pointer pinning: a core image holds pointers into shared
  *    PreparedChains; capture fails (and the cell bypasses) unless
  *    every bound decode is owned by the prepared-chain cache, and the
  *    snapshot then pins those chains alive for its own lifetime.
@@ -61,11 +61,12 @@ class TrialContext;
  *  published; shared across worker threads by shared_ptr. */
 struct WarmSnapshot
 {
-    Core::WarmState core;
+    /** Core::stateImage(): every field its visitState() lists. */
+    std::vector<std::uint64_t> core;
     Environment::WarmState environment;
     Defense::WarmState defense;
     CovertChannel::Calibration calibration;
-    /** Keeps the engine image's interior pointers (programs, chunk
+    /** Keeps the core image's interior pointers (programs, chunk
      *  tables, chunk successor links) alive even if the prepared
      *  cache is cleared underneath us. */
     std::vector<PreparedChainPtr> pins;
@@ -75,15 +76,15 @@ using WarmSnapshotPtr = std::shared_ptr<const WarmSnapshot>;
 
 /** @name Cache switch (test/bench instrumentation)
  * Process-global, default on; flip only while no runner is active.
- * Snapshots additionally require both prepared-cache layers
- * (frontend/prepared.hh) to be enabled — a per-bind local decode
+ * Snapshots additionally require the prepared-chain cache
+ * (frontend/prepared.hh) to be enabled — a decode it does not own
  * cannot be pinned. */
 /// @{
 void setSnapshotCacheEnabled(bool on);
 bool snapshotCacheEnabled();
 
 /** True when snapshots can engage at all right now: the snapshot
- *  switch and both prepared-cache layers are on. */
+ *  switch and the prepared-chain cache are on. */
 bool warmSnapshotsApplicable();
 /// @}
 
@@ -93,7 +94,7 @@ enum class SnapshotOutcome
     Hit,      //!< Snapshot returned; restore instead of calibrating.
     Miss,     //!< Unknown cell: calibrate, then publish or mark bypass.
     Bypass,   //!< Known non-snapshottable cell: always calibrate.
-    Disabled, //!< Cache switched off (or prepared caches off).
+    Disabled, //!< Cache switched off (or prepared cache off).
 };
 
 /**

@@ -480,45 +480,6 @@ TEST(ResultCacheTest, DisabledCacheIsInert)
     EXPECT_EQ(cache.store(sampleResult().spec, sampleResult()), "");
 }
 
-TEST(ResultCacheTest, LegacyFlatLayoutEntriesStillServe)
-{
-    // A cache written before the two-hex sharding filed entries flat
-    // under the root; lookups must keep serving them unmigrated, and
-    // new stores must land sharded.
-    const std::string root = scratchDir("cache_legacy");
-    const ResultCache cache(root);
-    const ExperimentResult res = sampleResult();
-
-    // File the entry the way the pre-sharding layout did: write it
-    // sharded (store() is the only encoder), then relocate the file.
-    ASSERT_EQ(cache.store(res.spec, res), "");
-    const std::string sharded = cache.entryPath(res.spec);
-    const std::string flat = cache.legacyEntryPath(res.spec);
-    fs::rename(sharded, flat);
-    ASSERT_FALSE(fs::exists(sharded));
-
-    ExperimentResult back;
-    std::string error;
-    ASSERT_TRUE(cache.lookup(res.spec, back, error)) << error;
-    EXPECT_EQ(back.result.errorRate, res.result.errorRate);
-    EXPECT_EQ(back.result.transmissionKbps,
-              res.result.transmissionKbps);
-
-    // A legacy entry is still held to the full hardening contract.
-    const std::string text = readAll(flat);
-    writeAll(flat, text.substr(0, text.size() / 2));
-    EXPECT_FALSE(cache.lookup(res.spec, back, error));
-    EXPECT_NE(error.find(flat), std::string::npos);
-    EXPECT_NE(error.find("corrupt"), std::string::npos);
-
-    // Re-storing writes the sharded path and it takes precedence over
-    // the (now corrupt) flat leftover — migration by rewrite.
-    ASSERT_EQ(cache.store(res.spec, res), "");
-    ASSERT_TRUE(fs::exists(sharded));
-    ASSERT_TRUE(cache.lookup(res.spec, back, error)) << error;
-    EXPECT_EQ(back.result.errorRate, res.result.errorRate);
-}
-
 TEST(ResultCacheTest, CorruptEntriesDiagnoseNotMiss)
 {
     const std::string root = scratchDir("cache_corrupt");
@@ -533,7 +494,7 @@ TEST(ResultCacheTest, CorruptEntriesDiagnoseNotMiss)
     ExperimentResult back;
     std::string error;
     EXPECT_FALSE(cache.lookup(res.spec, back, error));
-    EXPECT_NE(error.find(path), std::string::npos);
+    EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error; // path: reason
     EXPECT_NE(error.find("corrupt"), std::string::npos);
 
     // An entry whose stored spec is a *different* trial (misfiled /

@@ -1,7 +1,7 @@
 /**
  * @file
- * Runner observation hooks: setTrialProbe(), setStatsSink(), and
- * setMetricsSink(). These are the diagnostic surface the throughput
+ * Runner observation hooks: setTrialProbe() and setMetricsSink().
+ * These are the diagnostic surface the throughput
  * bench and lf_run's --metrics export sit on, so the contract — every
  * trial observed exactly once, sinks overwritten (not accumulated) at
  * the end of each run, totals that add up — gets pinned here.
@@ -85,22 +85,22 @@ TEST(TrialProbe, SingleThreadRunsInOrderWithDeliveredEqualToIndex)
     EXPECT_EQ(order, expected);
 }
 
-TEST(StatsSink, SingleThreadNeverParksAndSinkIsOverwritten)
+TEST(MetricsSink, SingleThreadNeverParksAndSinkIsOverwritten)
 {
     const auto specs = mixedBatch(6);
     ExperimentRunner runner(1);
-    StreamStats stats;
-    stats.workerParks = 999; // sentinel: run() must overwrite
-    stats.consumerParks = 999;
-    stats.wakeBroadcasts = 999;
-    runner.setStatsSink(&stats);
+    obs::RunMetrics m;
+    m.workerParks = 999; // sentinel: run() must overwrite
+    m.consumerParks = 999;
+    m.wakeBroadcasts = 999;
+    runner.setMetricsSink(&m);
     runner.run(specs);
-    EXPECT_EQ(stats.workerParks, 0u);
-    EXPECT_EQ(stats.consumerParks, 0u);
-    EXPECT_EQ(stats.wakeBroadcasts, 0u);
+    EXPECT_EQ(m.workerParks, 0u);
+    EXPECT_EQ(m.consumerParks, 0u);
+    EXPECT_EQ(m.wakeBroadcasts, 0u);
 }
 
-TEST(StatsSink, SubWindowBatchNeedsNoWorkerParksOrBroadcasts)
+TEST(MetricsSink, SubWindowBatchNeedsNoWorkerParksOrBroadcasts)
 {
     // A batch smaller than the reorder window can never block a
     // worker on slot recycling, so no slot-free broadcast is ever
@@ -108,11 +108,11 @@ TEST(StatsSink, SubWindowBatchNeedsNoWorkerParksOrBroadcasts)
     ExperimentRunner runner(4);
     const auto specs = mixedBatch(8);
     ASSERT_LT(specs.size(), runner.reorderWindow());
-    StreamStats stats;
-    runner.setStatsSink(&stats);
+    obs::RunMetrics m;
+    runner.setMetricsSink(&m);
     runner.run(specs);
-    EXPECT_EQ(stats.workerParks, 0u);
-    EXPECT_EQ(stats.wakeBroadcasts, 0u);
+    EXPECT_EQ(m.workerParks, 0u);
+    EXPECT_EQ(m.wakeBroadcasts, 0u);
 }
 
 TEST(MetricsSink, TotalsAddUpAndHistogramCoversEveryTrial)

@@ -130,12 +130,13 @@ TEST(StreamingRunner, CompletionOrderDeliversTheSameResultSet)
 
 TEST(StreamingRunner, FreshCoresMatchReusedCores)
 {
+    // Runner workers rebind one TrialContext per trial; a
+    // runExperiment(spec) call builds a fresh one.
     const auto &specs = registryGrid();
-    ExperimentRunner fresh(4);
-    fresh.setCoreReuse(false);
-    ASSERT_TRUE(ExperimentRunner().coreReuse());
-    EXPECT_EQ(jsonOf(fresh.run(specs)),
-              jsonOf(ExperimentRunner(4).run(specs)));
+    std::vector<ExperimentResult> fresh;
+    for (const ExperimentSpec &spec : specs)
+        fresh.push_back(runExperiment(spec));
+    EXPECT_EQ(jsonOf(fresh), jsonOf(ExperimentRunner(4).run(specs)));
 }
 
 TEST(StreamingRunner, ReboundContextMatchesFreshContexts)
@@ -238,11 +239,10 @@ TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
 
 TEST(StreamingRunner, ProgramCacheOnAndOffAreBitIdentical)
 {
-    // The prepared-chain cache and the engine's per-trial chunk-table
-    // reuse are pure memoisation: the registry-wide grid must render
-    // the same bytes with both caching layers forced on and forced
-    // off, at every thread count. (Default runs have them on; the
-    // off-scope reproduces the rebuild-per-trial behavior.)
+    // The prepared-chain cache is pure memoisation: the
+    // registry-wide grid must render the same bytes with it forced on
+    // and forced off, at every thread count. (Default runs have it
+    // on; the off-scope reproduces the rebuild-per-trial behavior.)
     const auto &specs = registryGrid();
     std::string cached_json;
     {

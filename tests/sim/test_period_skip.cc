@@ -4,10 +4,11 @@
  * for every power, SGX and MT channel on every CPU that runs it, and
  * for both bit values, a bit sent with skipping on and off gives the
  * same observable, the same core field for field (live image and the
- * saveWarmState() image), the same counters and cycle count, and the
- * same number of RNG draws. Skipping must actually engage there, and
- * never while a flush-on-switch defense is armed. (The registry-wide
- * sink-byte identity lives in tests/run/test_streaming.cc.)
+ * image loaded onto a fresh core), the same counters and cycle count,
+ * and the same number of RNG draws. Skipping must actually engage
+ * there, and never while a flush-on-switch defense is armed. (The
+ * registry-wide sink-byte identity lives in
+ * tests/run/test_streaming.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -87,7 +88,7 @@ sendBit(const ExperimentSpec &spec, bool bit, bool skip)
     const Core &core = ctx.core();
     out.image = core.stateImage();
     Core restored(core.model(), core.seed());
-    restored.restoreWarmState(core.saveWarmState());
+    restored.loadStateImage(core.stateImage());
     out.warmImage = restored.stateImage();
     for (ThreadId tid = 0; tid < FrontendEngine::kNumThreads; ++tid)
         out.counters.push_back(core.counters(tid));
@@ -218,20 +219,27 @@ TEST(PeriodSkip, KeyRanksLruOrderAndLeavesClocksOut)
     EXPECT_NE(idle.stateImage(), fresh.stateImage());
 }
 
-/** Run @p rounds single passes of @p chain on thread 0, with a
- *  sibling loop on thread 1 when @p sibling is set, and no program
- *  switch at the end: the IDQ ring, LRU stamps, poison deadlines and
- *  retire stamps are all left mid-flight. Prepared chains share one
- *  decode, so both runs' images hold the same chunk pointers. */
-BitOutcome
-runPasses(const PreparedChain &chain, const PreparedChain *sibling,
-          std::uint64_t rounds, bool skip, std::vector<Cycles> &records)
+/** Bind @p chain to thread 0 of @p core, with a sibling loop on
+ *  thread 1 when @p sibling is set. */
+void
+bindPasses(Core &core, const PreparedChain &chain,
+           const PreparedChain *sibling)
 {
-    PeriodSkipScope scope(skip);
-    Core core(xeonE2174G(), 3);
     core.setProgram(0, chain);
     if (sibling != nullptr)
         core.setProgram(1, *sibling);
+}
+
+/** Run @p rounds single passes of @p chain on thread 0 of @p core and
+ *  no program switch at the end: the IDQ ring, LRU stamps, poison
+ *  deadlines and retire stamps are all left mid-flight. Prepared
+ *  chains share one decode, so both runs' images hold the same chunk
+ *  pointers. */
+BitOutcome
+runPasses(Core &core, const PreparedChain &chain, std::uint64_t rounds,
+          bool skip, std::vector<Cycles> &records)
+{
+    PeriodSkipScope scope(skip);
     runRounds(core, rounds, records, [&](std::vector<Cycles> &out) {
         out.push_back(runLoopIters(core, 0, chain, 1));
     });
@@ -259,14 +267,43 @@ TEST(PeriodSkip, DriverLeavesTheSameCoreMidProgram)
               sibling.get()}) {
             std::vector<Cycles> on_records;
             std::vector<Cycles> off_records;
+            Core off_core(xeonE2174G(), 3);
+            Core on_core(xeonE2174G(), 3);
+            bindPasses(off_core, *chain, other);
+            bindPasses(on_core, *chain, other);
             const BitOutcome off =
-                runPasses(*chain, other, 301, false, off_records);
+                runPasses(off_core, *chain, 301, false, off_records);
             const BitOutcome on =
-                runPasses(*chain, other, 301, true, on_records);
+                runPasses(on_core, *chain, 301, true, on_records);
             EXPECT_GT(on.skips, 0u);
             EXPECT_EQ(on_records, off_records);
             EXPECT_EQ(on.cycle, off.cycle);
             EXPECT_TRUE(on.image == off.image);
+
+            // The mid-program image (sibling thread, moved IDQ head)
+            // loaded onto a fresh core of the same model, or onto one
+            // that ran other code, must run on exactly like its
+            // source.
+            Core fresh(xeonE2174G(), 11);
+            Core used(xeonE2174G(), 11);
+            bindPasses(used, *sibling, nullptr);
+            std::vector<Cycles> used_records;
+            runPasses(used, *sibling, 40, false, used_records);
+            for (Core *copy : {&fresh, &used}) {
+                copy->loadStateImage(on.image);
+                ASSERT_TRUE(copy->stateImage() == on.image);
+            }
+            std::vector<Cycles> source_more;
+            const BitOutcome source_next =
+                runPasses(on_core, *chain, 57, false, source_more);
+            for (Core *copy : {&fresh, &used}) {
+                std::vector<Cycles> copy_more;
+                const BitOutcome copy_next =
+                    runPasses(*copy, *chain, 57, false, copy_more);
+                EXPECT_EQ(copy_more, source_more);
+                EXPECT_EQ(copy_next.cycle, source_next.cycle);
+                EXPECT_TRUE(copy_next.image == source_next.image);
+            }
         }
     }
 }

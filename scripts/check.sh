@@ -32,12 +32,14 @@ cmake --build build-asan -j "${JOBS}" \
              lf_noise_test_environment lf_defense_test_defense \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_sim_test_snapshot lf_sim_test_period_skip \
+             lf_fingerprint_test_fingerprint \
              lf_run lf_campaign table_defenses campaign_overhead
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
 ./build-asan/lf_sim_test_snapshot
 ./build-asan/lf_sim_test_period_skip
+./build-asan/lf_fingerprint_test_fingerprint
 ./build-asan/lf_run_test_hooks
 ./build-asan/lf_obs_test_obs
 ./build-asan/lf_run_test_sweep

@@ -227,6 +227,14 @@ class Defense
      */
     void beginSlot(Core &core);
 
+    /** True when beginSlot() can act on the core (the index re-salt).
+     *  Otherwise it only counts slots, and the cycles of many slots
+     *  may run as one stretch (the fingerprint trace's spans). */
+    bool slotActsOnCore() const
+    {
+        return !inactive_ && spec_.randomize.enabled;
+    }
+
     /** Pad a timing observable (cycles) toward the running worst
      *  case (constant-rate delivery smoothing). */
     double filterTiming(double cycles);

@@ -7,6 +7,7 @@
 #include "isa/mix_block.hh"
 #include "sim/core.hh"
 #include "sim/executor.hh"
+#include "sim/period_skip.hh"
 
 namespace lf {
 
@@ -30,7 +31,10 @@ class VictimDriver
                 1.0 + rng.gaussian(0.0, jitter_frac);
             const double cycles = static_cast<double>(
                 victim.phase(i).durationCycles) * std::max(jitter, 0.5);
-            durations_.push_back(static_cast<Cycles>(cycles));
+            // At least one cycle: a phase that ends as it starts would
+            // never let advance() move on.
+            durations_.push_back(
+                std::max<Cycles>(1, static_cast<Cycles>(cycles)));
         }
         enterPhase(0);
     }
@@ -47,6 +51,14 @@ class VictimDriver
 
     /** Cycles until the current phase ends. */
     Cycles remaining() const { return remaining_; }
+
+    /** Probe boundaries for a span inside the current phase: the
+     *  victim's loop iterations. */
+    SpanWatch watch() const
+    {
+        return {kVictim, victim_.phaseProgram(phase_).numInsts(),
+                kAttacker};
+    }
 
   private:
     void enterPhase(std::size_t index)
@@ -93,26 +105,43 @@ attackerIpcTrace(const CpuModel &model, const VictimWorkload &victim,
     core.runCycles(20000);
     driver.advance(20000);
 
+    // The attacker's retired count at every sample boundary. A victim
+    // phase runs as one span with the boundaries inside it as
+    // observation points, unless the defense's per-slot hook acts on
+    // the core: then every sample is a span of its own.
+    lf_assert(config.sampleCycles > 0, "an IPC sample needs cycles");
+    const bool slotActs = defense.slotActsOnCore();
+    const Cycles sample = config.sampleCycles;
+    const int samples = std::max(config.samples, 0);
+    const Cycles total = static_cast<Cycles>(samples) * sample;
+    std::vector<std::uint64_t> retired;
+    retired.reserve(static_cast<std::size_t>(samples) + 1);
+    retired.push_back(core.counters(kAttacker).retiredInsts);
+    std::vector<Cycles> points;
+    for (Cycles at = 0; at < total;) {
+        // One IPC sample is one defense slot: index re-salts land
+        // between samples.
+        if (slotActs && at % sample == 0)
+            defense.beginSlot(core);
+        Cycles end = std::min(total, at + driver.remaining());
+        if (slotActs)
+            end = std::min(end, (at / sample + 1) * sample);
+        points.clear();
+        for (Cycles b = (at / sample + 1) * sample; b <= end; b += sample)
+            points.push_back(b - at);
+        runSpan(core, end - at, driver.watch(), points, retired);
+        driver.advance(end - at);
+        at = end;
+    }
+
     std::vector<double> trace;
-    trace.reserve(static_cast<std::size_t>(config.samples));
-    for (int s = 0; s < config.samples; ++s) {
-        // One IPC sample is one defense slot: periodic DSB flushes
-        // and index re-salts land between samples.
-        defense.beginSlot(core);
-        const std::uint64_t insts0 =
-            core.counters(kAttacker).retiredInsts;
-        Cycles to_go = config.sampleCycles;
-        while (to_go > 0) {
-            const Cycles step = std::min(to_go, driver.remaining());
-            const Cycles chunk = step == 0 ? 1 : step;
-            core.runCycles(chunk);
-            driver.advance(chunk);
-            to_go -= chunk;
-        }
+    trace.reserve(static_cast<std::size_t>(samples));
+    for (std::size_t s = 1; s < retired.size(); ++s) {
+        if (!slotActs)
+            defense.beginSlot(core);
         const double ipc =
-            static_cast<double>(core.counters(kAttacker).retiredInsts -
-                                insts0) /
-            static_cast<double>(config.sampleCycles);
+            static_cast<double>(retired[s] - retired[s - 1]) /
+            static_cast<double>(sample);
         // Observable smoothing pads the sampled waveform itself
         // (down, toward the running worst-case IPC); the attacker's
         // own timer noise lands after it.
@@ -125,6 +154,7 @@ attackerIpcTrace(const CpuModel &model, const VictimWorkload &victim,
 double
 attackerBaselineIpc(const CpuModel &model, const TraceConfig &config)
 {
+    lf_assert(config.sampleCycles > 0, "an IPC sample needs cycles");
     Core core(model, 7);
     const PreparedChainPtr attacker = prepareNopLoop(
         kAttackerBase, config.attackerNops,
@@ -132,11 +162,13 @@ attackerBaselineIpc(const CpuModel &model, const TraceConfig &config)
     core.setProgram(kAttacker, *attacker);
     core.runCycles(20000);
     const std::uint64_t insts0 = core.counters(kAttacker).retiredInsts;
-    const Cycles c0 = core.cycle();
-    core.runCycles(config.sampleCycles * 4);
-    return static_cast<double>(core.counters(kAttacker).retiredInsts -
-                               insts0) /
-        static_cast<double>(core.cycle() - c0);
+    const Cycles cycles = config.sampleCycles * 4;
+    std::vector<std::uint64_t> retired;
+    runSpan(core, cycles,
+            {kAttacker, attacker->chain.program.numInsts(), kAttacker},
+            {cycles}, retired);
+    return static_cast<double>(retired.front() - insts0) /
+        static_cast<double>(cycles);
 }
 
 FingerprintStudy

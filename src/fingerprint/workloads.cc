@@ -17,6 +17,7 @@ std::unique_ptr<Program>
 buildPhaseProgram(const WorkloadPhase &phase)
 {
     lf_assert(phase.footprintBlocks > 0, "phase needs blocks");
+    lf_assert(phase.durationCycles > 0, "phase needs cycles");
     const int blocks = phase.footprintBlocks;
     const int lcp_stride = phase.lcpPer32Blocks > 0
         ? std::max(1, 32 / phase.lcpPer32Blocks) : 0;

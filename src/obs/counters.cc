@@ -85,8 +85,8 @@ counterCatalog()
         {"fast_forwarded_cycles", "cycles advanced by stall"
          " fast-forward instead of ticking",
          &CounterSet::fastForwardedCycles},
-        {"period_skips", "round loops whose repeating state let them"
-         " jump whole periods", &CounterSet::periodSkips},
+        {"period_skips", "round loops and cycle spans whose repeating"
+         " state let them jump whole periods", &CounterSet::periodSkips},
         {"skipped_period_cycles", "cycles advanced by period skips"
          " instead of simulating (part of cycles)",
          &CounterSet::skippedPeriodCycles},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -12,6 +13,31 @@
 namespace lf {
 
 namespace {
+
+/** Hash words in four independent xxHash64-style lanes: mixing one
+ *  word never waits on the word before it, so a probe costs about
+ *  what the field walk costs. */
+struct HashWords
+{
+    std::uint64_t lanes[4] = {0x9e3779b97f4a7c15ULL, 0xbf58476d1ce4e5b9ULL,
+                              0x94d049bb133111ebULL, 0x2545f4914f6cdd1dULL};
+    std::uint64_t words = 0;
+
+    void operator()(std::uint64_t w)
+    {
+        std::uint64_t &lane = lanes[words++ & 3];
+        lane += w * 0xc2b2ae3d27d4eb4fULL;
+        lane = ((lane << 31) | (lane >> 33)) * 0x9e3779b185ebca87ULL;
+    }
+
+    std::uint64_t hash() const
+    {
+        std::uint64_t h = words;
+        for (const std::uint64_t lane : lanes)
+            h = splitmix64(h ^ lane);
+        return h;
+    }
+};
 
 /** Feed one exact field to @p sink as 64-bit words. Maps go in key
  *  order, so equal contents give equal words whatever the bucket
@@ -55,6 +81,23 @@ putWords(Sink &sink, const std::unordered_map<K, M> &map)
         putWords(sink, key);
         putWords(sink, value);
     }
+}
+
+/** Hash a map without sorting it: entries mix independently and
+ *  combine by addition, so equal contents hash equal in any bucket
+ *  order. (The key and image forms above stay sorted: they are
+ *  compared and stored word by word.) */
+template <class K, class M>
+void
+putWords(HashWords &sink, const std::unordered_map<K, M> &map)
+{
+    std::uint64_t sum = 0;
+    for (const auto &[key, value] : map) {
+        sum += splitmix64(splitmix64(static_cast<std::uint64_t>(key)) ^
+                          static_cast<std::uint64_t>(value));
+    }
+    sink(map.size());
+    sink(sum);
 }
 
 /** Read one field back from @p next, the inverse of putWords().
@@ -112,12 +155,6 @@ struct CountWords
 {
     std::size_t words = 0;
     void operator()(std::uint64_t) { ++words; }
-};
-
-struct HashWords
-{
-    std::uint64_t hash = 0;
-    void operator()(std::uint64_t w) { hash = splitmix64(hash ^ w); }
 };
 
 struct CompareWords
@@ -280,7 +317,7 @@ Core::canonicalHash() const
     HashWords sink;
     KeyWriter<HashWords> writer{sink};
     const_cast<Core *>(this)->visitState(writer);
-    return sink.hash;
+    return sink.hash();
 }
 
 void
@@ -405,8 +442,17 @@ Core::tick()
 void
 Core::runCycles(Cycles cycles)
 {
+    runCyclesUntilRetired(0, std::numeric_limits<std::uint64_t>::max(),
+                          cycles);
+}
+
+Cycles
+Core::runCyclesUntilRetired(ThreadId tid, std::uint64_t target,
+                            Cycles cycles)
+{
     Cycles done = 0;
-    while (done < cycles) {
+    while (done < cycles && engine_.counters(tid).retiredInsts < target) {
+        // Nothing retires during a no-op stretch (see runUntilRetired).
         const Cycles burn = engine_.noOpCycles();
         if (burn > 0) {
             const Cycles k = std::min(burn, cycles - done);
@@ -418,6 +464,7 @@ Core::runCycles(Cycles cycles)
         tick();
         ++done;
     }
+    return done;
 }
 
 Cycles

@@ -102,6 +102,16 @@ class Core
      */
     Cycles runUntilRetired(ThreadId tid, std::uint64_t insts,
                            Cycles max_cycles = 0);
+
+    /**
+     * Run until thread @p tid has retired @p target instructions in
+     * all or @p cycles cycles have passed, whichever comes first, and
+     * return the cycles run. Never throws: a halted thread just lets
+     * the cycles run out. Splitting a runCycles() stretch this way
+     * leaves the core exactly as one call would.
+     */
+    Cycles runCyclesUntilRetired(ThreadId tid, std::uint64_t target,
+                                 Cycles cycles);
     /// @}
 
     Cycles cycle() const { return engine_.cycle(); }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Exact steady-state period skipping for the channels' per-bit round
- * loops.
+ * loops and for fixed-length cycle spans.
  *
  * The power channels run 20,000 encode/decode rounds per bit (RAPL
  * refreshes only every ~50 us, Sec. VII), the SGX non-MT channels
@@ -50,6 +50,26 @@
  * loops shorter than kMinSkipRounds run plainly, probes come in
  * windows of 2 * kMaxSkipPeriod boundaries with doubling gaps, and
  * only kMaxSkipPeriod hashes are kept.
+ *
+ * runSpan() is the same driver for code with no round structure (the
+ * fingerprint attacker's NOP loop beside a looping victim, Sec. XI):
+ * run exactly C cycles, read a counter at listed cycle offsets, and
+ * skip whole proven periods. Its boundaries are where a looping
+ * thread's retired count crosses a multiple of its loop length (in
+ * the flat fetch image a loop is one cycle of a degree-two chunk
+ * digraph, so equal boundaries line the loops up). Periods are in
+ * cycles: the distance between two boundaries that hash the same.
+ * Rules on top of runRounds()'s:
+ *  - Periods of up to 256 boundaries are looked for: 256 hashes are
+ *    kept, in windows of 512 boundaries with doubling gaps. Probing
+ *    stops once a period the window could still find no longer fits
+ *    twice in what is left of the span.
+ *  - Observation points inside skipped periods are filled from the
+ *    confirmation period: a point n periods and o cycles past its
+ *    start reads count + n * (change per period) + (change over the
+ *    first o cycles). Only the offsets some point needs are recorded.
+ *  - The caller ends a span wherever something outside the core acts
+ *    on it (a program switch, a defense slot that re-salts the DSB).
  */
 
 #ifndef LF_SIM_PERIOD_SKIP_HH
@@ -84,6 +104,30 @@ using RoundBody = std::function<void(std::vector<Cycles> &records)>;
  */
 void runRounds(Core &core, std::uint64_t rounds,
                std::vector<Cycles> &records, const RoundBody &round);
+
+/** Where a cycle span probes and what it observes. */
+struct SpanWatch
+{
+    /** Probes fall where @c loopThread's retired count, counted from
+     *  the span's start, crosses a multiple of @c loopInsts (its loop
+     *  length). 0 disables probing. */
+    ThreadId loopThread = 0;
+    std::uint64_t loopInsts = 0;
+    /** Observation points read this thread's retired count. */
+    ThreadId observedThread = 0;
+};
+
+/**
+ * Run exactly @p cycles cycles of @p core, skipping whole state
+ * periods once they provably repeat. @p points are strictly ascending
+ * cycle offsets in [1, @p cycles]; for each, the observed thread's
+ * retired count after that many cycles is appended to @p counts,
+ * exactly as a plain runCycles() loop would read it. As in
+ * runRounds(), a confirmation period that draws ends probing.
+ */
+void runSpan(Core &core, Cycles cycles, const SpanWatch &watch,
+             const std::vector<Cycles> &points,
+             std::vector<std::uint64_t> &counts);
 
 /** @name Skip switch (test instrumentation)
  * Process-global, default on; flip only while no runner is active.

@@ -7,6 +7,7 @@
 #include "fingerprint/side_channel.hh"
 #include "fingerprint/workloads.hh"
 #include "sim/cpu_model.hh"
+#include "sim/period_skip.hh"
 
 namespace lf {
 namespace {
@@ -114,6 +115,112 @@ TEST(SideChannel, RequiresSmt)
     const auto cnns = cnnWorkloads();
     EXPECT_DEATH(attackerIpcTrace(xeonE2288G(), cnns[0], config, 1),
                  "SMT");
+}
+
+TEST(Workloads, ZeroLengthPhaseIsRejected)
+{
+    // A phase that ends as it starts would never let the phase
+    // scheduler move on: the trace would hang.
+    EXPECT_DEATH(VictimWorkload("tiny", {{"p", 8, 0, 0}}), "cycles");
+}
+
+TEST(SideChannel, OneCyclePhasesWithJitterStillAdvance)
+{
+    // Negative jitter would floor a 1-cycle phase to 0 cycles; every
+    // jittered duration is clamped to at least one. Eight phases make
+    // a negative draw all but certain.
+    std::vector<WorkloadPhase> phases;
+    for (int i = 0; i < 8; ++i)
+        phases.push_back({"p", 8 + i, 0, 1});
+    const VictimWorkload tiny("tiny", phases);
+    TraceConfig config;
+    config.samples = 4;
+    config.sampleCycles = 2000;
+    const auto trace = attackerIpcTrace(gold6226(), tiny, config, 1);
+    EXPECT_EQ(trace.size(), 4u);
+}
+
+/** Every library victim once. */
+std::vector<VictimWorkload>
+allVictims()
+{
+    std::vector<VictimWorkload> victims = mobileWorkloads();
+    for (VictimWorkload &cnn : cnnWorkloads())
+        victims.push_back(std::move(cnn));
+    return victims;
+}
+
+/** Short traces (a few phases each) with sample boundaries dense
+ *  enough that skipped periods hold several of them. */
+TraceConfig
+identityConfig()
+{
+    TraceConfig config;
+    config.samples = 16;
+    config.sampleCycles = 25000;
+    return config;
+}
+
+TEST(SideChannel, PeriodSkipOnAndOffGiveIdenticalTraces)
+{
+    // Static partitioning (the table_defenses study) keeps whole-phase
+    // spans; the randomize defense re-salts the DSB between samples,
+    // so every sample is a span of its own.
+    DefenseSpec partition;
+    partition.partition.dsb = true;
+    partition.partition.lsd = true;
+    DefenseSpec randomize;
+    randomize.randomize.enabled = true;
+    randomize.randomize.epochSlots = 4;
+    const std::vector<VictimWorkload> victims = allVictims();
+    const TraceConfig config = identityConfig();
+    for (const DefenseSpec &defense :
+         {DefenseSpec{}, partition, randomize}) {
+        for (std::size_t v = 0; v < victims.size(); ++v) {
+            std::vector<double> off;
+            std::vector<double> on;
+            {
+                PeriodSkipScope scope(false);
+                off = attackerIpcTrace(gold6226(), victims[v], config,
+                                       40 + v, defense);
+            }
+            {
+                PeriodSkipScope scope(true);
+                on = attackerIpcTrace(gold6226(), victims[v], config,
+                                      40 + v, defense);
+            }
+            EXPECT_EQ(on, off) << victims[v].name();
+        }
+    }
+}
+
+TEST(SideChannel, PeriodSkipOnAndOffGiveIdenticalBaselines)
+{
+    double off = 0.0;
+    {
+        PeriodSkipScope scope(false);
+        off = attackerBaselineIpc(gold6226(), TraceConfig{});
+    }
+    PeriodSkipScope scope(true);
+    EXPECT_EQ(attackerBaselineIpc(gold6226(), TraceConfig{}), off);
+}
+
+TEST(SideChannel, PeriodSkipOnAndOffGiveIdenticalStudies)
+{
+    const TraceConfig config = identityConfig();
+    FingerprintStudy off;
+    FingerprintStudy on;
+    {
+        PeriodSkipScope scope(false);
+        off = runFingerprintStudy(gold6226(), mobileWorkloads(), config, 2);
+    }
+    {
+        PeriodSkipScope scope(true);
+        on = runFingerprintStudy(gold6226(), mobileWorkloads(), config, 2);
+    }
+    EXPECT_EQ(on.traces, off.traces);
+    EXPECT_EQ(on.distanceMatrix, off.distanceMatrix);
+    EXPECT_EQ(on.classificationAccuracy, off.classificationAccuracy);
 }
 
 } // namespace

@@ -6,12 +6,17 @@
  * same observable, the same core field for field (live image and the
  * image loaded onto a fresh core), the same counters and cycle count,
  * and the same number of RNG draws. Skipping must actually engage
- * there, and never while a flush-on-switch defense is armed. (The
- * registry-wide sink-byte identity lives in
- * tests/run/test_streaming.cc.)
+ * there, and never while a flush-on-switch defense is armed. Cycle
+ * spans (runSpan) must leave the same core and read the same counts
+ * as a plain runCycles() run, wherever their observation points fall.
+ * (The registry-wide sink-byte identity lives in
+ * tests/run/test_streaming.cc; the fingerprint traces' in
+ * tests/fingerprint/test_fingerprint.cc.)
  */
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 #include "common/rng.hh"
 #include "core/channel_registry.hh"
@@ -353,6 +358,230 @@ TEST(PeriodSkip, DriverNeverSkipsARoundThatDraws)
     EXPECT_EQ(calls, 500u);
     EXPECT_EQ(records.size(), 500u);
     EXPECT_EQ(core.periodSkips(), 0u);
+}
+
+/** The fingerprint attacker's shape: a NOP loop on thread 0 (observed)
+ *  beside a looping mix-block chain on thread 1 (probed). */
+class SpanSetup
+{
+  public:
+    SpanSetup()
+        : nops_(prepareNopLoop(0x100000, 100,
+                               gold6226().frontend.dsbLineUops)),
+          loop_(prepareMixBlockChain(
+              0x800000, 20, {{4, false}, {5, false}, {6, false}},
+              gold6226().frontend.dsbLineUops))
+    {
+    }
+
+    /** A fresh core with both threads bound and warmed a little. */
+    std::unique_ptr<Core> core() const
+    {
+        auto core = std::make_unique<Core>(gold6226(), 3);
+        core->setProgram(0, *nops_);
+        core->setProgram(1, *loop_);
+        core->runCycles(500);
+        return core;
+    }
+
+    SpanWatch watch() const
+    {
+        return {1, loop_->chain.instsPerIteration, 0};
+    }
+
+  private:
+    PreparedChainPtr nops_;
+    PreparedChainPtr loop_;
+};
+
+/** Where a span's first probe window finds a period: the offset of
+ *  the first boundary whose hash an earlier boundary shared, and how
+ *  far back that was. Hashing every boundary of a plain run finds it
+ *  as the driver does. */
+struct FoundPeriod
+{
+    Cycles at = 0;
+    Cycles period = 0;
+};
+
+FoundPeriod
+findPeriod(Core &core, const SpanWatch &watch)
+{
+    const std::uint64_t base = core.retiredInsts(watch.loopThread);
+    std::unordered_map<std::uint64_t, Cycles> seen;
+    Cycles done = 0;
+    for (std::uint64_t boundary = 1; done < 1000000;) {
+        done += core.runCyclesUntilRetired(
+            watch.loopThread, base + boundary * watch.loopInsts,
+            1000000 - done);
+        boundary = (core.retiredInsts(watch.loopThread) - base) /
+                watch.loopInsts + 1;
+        const std::uint64_t hash = core.canonicalHash();
+        const auto it = seen.find(hash);
+        if (it != seen.end())
+            return {done, done - it->second};
+        seen[hash] = done;
+    }
+    return {};
+}
+
+/** What a span leaves behind. */
+struct SpanOutcome
+{
+    std::vector<std::uint64_t> counts;
+    std::vector<std::uint64_t> image;
+    Cycles cycle = 0;
+    std::uint64_t skips = 0;
+    Cycles skippedCycles = 0;
+};
+
+SpanOutcome
+outcomeOf(const Core &core, std::vector<std::uint64_t> counts)
+{
+    SpanOutcome out;
+    out.counts = std::move(counts);
+    out.image = core.stateImage();
+    out.cycle = core.cycle();
+    out.skips = core.periodSkips();
+    out.skippedCycles = core.skippedPeriodCycles();
+    return out;
+}
+
+/** The reference: plain runCycles() to each point, then to the end. */
+SpanOutcome
+plainRun(Core &core, Cycles cycles, const std::vector<Cycles> &points,
+         ThreadId observed)
+{
+    std::vector<std::uint64_t> counts;
+    Cycles done = 0;
+    for (const Cycles point : points) {
+        core.runCycles(point - done);
+        done = point;
+        counts.push_back(core.retiredInsts(observed));
+    }
+    core.runCycles(cycles - done);
+    return outcomeOf(core, std::move(counts));
+}
+
+SpanOutcome
+spanRun(Core &core, Cycles cycles, const std::vector<Cycles> &points,
+        const SpanWatch &watch)
+{
+    PeriodSkipScope scope(true);
+    std::vector<std::uint64_t> counts;
+    runSpan(core, cycles, watch, points, counts);
+    return outcomeOf(core, std::move(counts));
+}
+
+void
+expectSameRun(const SpanOutcome &span, const SpanOutcome &plain)
+{
+    EXPECT_EQ(span.counts, plain.counts);
+    EXPECT_EQ(span.cycle, plain.cycle);
+    EXPECT_TRUE(span.image == plain.image);
+}
+
+TEST(PeriodSkipSpan, MatchesAPlainRunAtEveryKindOfPoint)
+{
+    const SpanSetup setup;
+    const FoundPeriod found =
+        findPeriod(*setup.core(), setup.watch());
+    ASSERT_GT(found.period, 1u);
+    const Cycles p = found.period;
+    const Cycles start = found.at; // the confirmation period's start
+    // Five skipped periods, then a third of one run plainly.
+    const Cycles cycles = start + 6 * p + p / 3;
+    const std::vector<Cycles> points = {
+        start / 2,               // before the candidate
+        start + p / 2,           // inside the confirmation period
+        start + p,               // its last cycle
+        start + p + 1,           // offset 1 of the first skipped period
+        start + 3 * p - 1,       // offset p - 1
+        start + 3 * p,           // offset 0
+        start + 4 * p + p / 2,   // offset p / 2, also read above
+        start + 6 * p,           // the skipped stretch's last cycle
+        start + 6 * p + 1,       // the plain remainder
+        cycles,                  // the span's last cycle
+    };
+    auto plain_core = setup.core();
+    auto span_core = setup.core();
+    const SpanOutcome plain =
+        plainRun(*plain_core, cycles, points, 0);
+    const SpanOutcome span =
+        spanRun(*span_core, cycles, points, setup.watch());
+    EXPECT_EQ(span.skips, 1u);
+    EXPECT_EQ(span.skippedCycles, 5 * p);
+    expectSameRun(span, plain);
+
+    // Every cycle of the span a point: each skipped point is filled
+    // from the confirmation period's record.
+    std::vector<Cycles> dense;
+    for (Cycles c = 1; c <= cycles; ++c)
+        dense.push_back(c);
+    auto dense_plain_core = setup.core();
+    auto dense_span_core = setup.core();
+    expectSameRun(spanRun(*dense_span_core, cycles, dense, setup.watch()),
+                  plainRun(*dense_plain_core, cycles, dense, 0));
+}
+
+TEST(PeriodSkipSpan, ShorterThanThreePeriodsRunsPlainly)
+{
+    const SpanSetup setup;
+    const FoundPeriod found =
+        findPeriod(*setup.core(), setup.watch());
+    ASSERT_GT(found.period, 1u);
+    const Cycles cycles = 3 * found.period - 1;
+    const std::vector<Cycles> points = {found.period, cycles};
+    auto plain_core = setup.core();
+    auto span_core = setup.core();
+    const SpanOutcome span =
+        spanRun(*span_core, cycles, points, setup.watch());
+    EXPECT_EQ(span.skips, 0u);
+    expectSameRun(span, plainRun(*plain_core, cycles, points, 0));
+}
+
+TEST(PeriodSkipSpan, DomainSwitchHookBlocksSkipping)
+{
+    const SpanSetup setup;
+    const Cycles cycles = 200000;
+    const std::vector<Cycles> points = {50000, 100000, cycles};
+    auto plain_core = setup.core();
+    auto span_core = setup.core();
+    span_core->setDomainSwitchHook([](Core &) {});
+    const SpanOutcome span =
+        spanRun(*span_core, cycles, points, setup.watch());
+    EXPECT_EQ(span.skips, 0u);
+    expectSameRun(span, plainRun(*plain_core, cycles, points, 0));
+
+    // The same span without the hook does skip.
+    auto open_core = setup.core();
+    EXPECT_EQ(spanRun(*open_core, cycles, points, setup.watch()).skips,
+              1u);
+}
+
+TEST(PeriodSkipSpan, SiblingHaltingMidSpanRunsOnExactly)
+{
+    // One pass over eight blocks, then HALT: the probed thread crosses
+    // a few block boundaries and stops retiring.
+    const int line = gold6226().frontend.dsbLineUops;
+    const auto nops = prepareNopLoop(0x100000, 100, line);
+    std::vector<BlockSpec> blocks;
+    for (int way = 0; way < 8; ++way)
+        blocks.push_back({way, false});
+    const auto pass = prepareMixBlockPass(0x800000, 20, blocks, line);
+    const Cycles cycles = 20000;
+    const std::vector<Cycles> points = {10, 5000, cycles};
+    Core plain_core(gold6226(), 3);
+    Core span_core(gold6226(), 3);
+    for (Core *core : {&plain_core, &span_core}) {
+        core->setProgram(0, *nops);
+        core->setProgram(1, *pass);
+    }
+    const SpanOutcome span =
+        spanRun(span_core, cycles, points, {1, 5, 0});
+    EXPECT_GE(span_core.retiredInsts(1), 40u);
+    EXPECT_LE(span_core.retiredInsts(1), 41u);
+    expectSameRun(span, plainRun(plain_core, cycles, points, 0));
 }
 
 } // namespace

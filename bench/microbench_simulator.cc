@@ -512,8 +512,11 @@ BM_ChannelBit(benchmark::State &state)
     NonMtEvictionChannel channel(core, cfg);
     channel.setup();
     bool bit = false;
+    SlotRaw raw;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(channel.transmitBit(bit));
+        raw.cycles.clear();
+        channel.transmitBit(bit, raw);
+        benchmark::DoNotOptimize(channel.measure(raw));
         bit = !bit;
     }
     state.SetItemsProcessed(state.iterations());

@@ -32,13 +32,14 @@ cmake --build build-asan -j "${JOBS}" \
              lf_noise_test_environment lf_defense_test_defense \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_sim_test_snapshot lf_sim_test_period_skip \
-             lf_fingerprint_test_fingerprint \
+             lf_sim_test_slot_graph lf_fingerprint_test_fingerprint \
              lf_run lf_campaign table_defenses campaign_overhead
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
 ./build-asan/lf_sim_test_snapshot
 ./build-asan/lf_sim_test_period_skip
+./build-asan/lf_sim_test_slot_graph
 ./build-asan/lf_fingerprint_test_fingerprint
 ./build-asan/lf_run_test_hooks
 ./build-asan/lf_obs_test_obs
@@ -57,14 +58,17 @@ cmake -B build-tsan -S . -DLF_TSAN=ON
 cmake --build build-tsan -j "${JOBS}" \
     --target lf_run_test_runner lf_run_test_streaming \
              lf_run_test_hooks lf_sim_test_snapshot lf_sim_test_period_skip \
-             lf_campaign_test_campaign lf_campaign_test_campaign_files \
-             lf_run
+             lf_sim_test_slot_graph lf_campaign_test_campaign \
+             lf_campaign_test_campaign_files lf_run
 ./build-tsan/lf_run_test_runner
 ./build-tsan/lf_run_test_streaming
 # The warm-snapshot cache is process-wide mutable state shared by all
 # runner workers; TSan gates its mutex + atomic-counter discipline.
 ./build-tsan/lf_sim_test_snapshot
 ./build-tsan/lf_sim_test_period_skip
+# Each worker keeps its own cell's slot graph; the runner identity
+# case runs it at 4 and 8 threads.
+./build-tsan/lf_sim_test_slot_graph
 ./build-tsan/lf_run_test_hooks
 ./build-tsan/lf_campaign_test_campaign
 ./build-tsan/lf_campaign_test_campaign_files

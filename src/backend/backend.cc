@@ -14,7 +14,6 @@ void
 Backend::reset()
 {
     issueWidth_ = engine_->params().issueWidth;
-    lastRetire_.fill(0);
     rrStart_ = 0;
     tickCycles_ = 0;
     slotsUsed_ = 0;
@@ -54,25 +53,13 @@ Backend::tick()
     ++tickCycles_;
     if (pops_first > 0) {
         const int got = engine_->popUops(first, pops_first, insts);
-        if (got > 0)
-            lastRetire_[static_cast<std::size_t>(first)] =
-                engine_->cycle();
         slotsUsed_ += static_cast<std::uint64_t>(got);
     }
     if (pops_second > 0) {
         const int got = engine_->popUops(second, pops_second, insts);
-        if (got > 0)
-            lastRetire_[static_cast<std::size_t>(second)] =
-                engine_->cycle();
         slotsUsed_ += static_cast<std::uint64_t>(got);
     }
     rrStart_ = (rrStart_ + 1) % FrontendEngine::kNumThreads;
-}
-
-Cycles
-Backend::lastRetireCycle(ThreadId tid) const
-{
-    return lastRetire_[static_cast<std::size_t>(tid)];
 }
 
 } // namespace lf

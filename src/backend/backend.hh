@@ -13,8 +13,6 @@
 #ifndef LF_BACKEND_BACKEND_HH
 #define LF_BACKEND_BACKEND_HH
 
-#include <array>
-
 #include "common/types.hh"
 #include "frontend/engine.hh"
 
@@ -45,9 +43,6 @@ class Backend
      *  pointer is kept; its params are re-read for the issue width). */
     void reset();
 
-    /** Cycle at which the thread last retired a micro-op. */
-    Cycles lastRetireCycle(ThreadId tid) const;
-
     /** @name Retire-slot accounting (observability)
      * Each ticked cycle offers issueWidth retire slots; slotsUsed is
      * how many actually carried a micro-op, so utilisation is
@@ -60,14 +55,12 @@ class Backend
     /// @}
 
     /** List every state field once for the steady-state visitors
-     *  (sim/period_skip.hh): the round-robin start is exact; retire
-     *  stamps and slot tallies are monotone. */
+     *  (sim/period_skip.hh): the round-robin start is exact; the
+     *  slot tallies are monotone. */
     template <class V>
     void visitState(V &v)
     {
         v.exact(issueWidth_);
-        for (Cycles &stamp : lastRetire_)
-            v.monotone(stamp);
         v.exact(rrStart_);
         v.monotone(tickCycles_);
         v.monotone(slotsUsed_);
@@ -76,7 +69,6 @@ class Backend
   private:
     FrontendEngine *engine_;
     int issueWidth_;
-    std::array<Cycles, FrontendEngine::kNumThreads> lastRetire_{};
     int rrStart_ = 0;
     std::uint64_t tickCycles_ = 0;
     std::uint64_t slotsUsed_ = 0;

@@ -10,6 +10,7 @@
 #include "noise/environment.hh"
 #include "sim/executor.hh"
 #include "sim/period_skip.hh"
+#include "sim/slot_graph.hh"
 
 namespace lf {
 
@@ -54,10 +55,11 @@ CovertChannel::runEncodeDecodeRounds(ThreadId tid, bool bit, int rounds,
     runRounds(core_, static_cast<std::uint64_t>(rounds), none, round);
 }
 
-double
-CovertChannel::measureMtSteps(bool bit, int steps, int meas_per_step,
-                              const PreparedChain &receiver,
-                              const PreparedChain &encode_one)
+void
+CovertChannel::runMtSteps(bool bit, int steps, int meas_per_step,
+                          const PreparedChain &receiver,
+                          const PreparedChain &encode_one,
+                          std::vector<Cycles> &passes)
 {
     constexpr ThreadId kReceiver = 0;
     constexpr ThreadId kSender = 1;
@@ -89,22 +91,40 @@ CovertChannel::measureMtSteps(bool bit, int steps, int meas_per_step,
         if (bit)
             core_.clearProgram(kSender); // second invalidation toggle
     };
-    std::vector<Cycles> passes;
     passes.reserve(static_cast<std::size_t>(steps) *
                    static_cast<std::size_t>(meas_per_step));
     runRounds(core_, static_cast<std::uint64_t>(steps), passes, step);
     core_.clearProgram(kReceiver);
-
-    // The rdtscp noise of every pass, in pass order (what timing each
-    // pass with timedLoopIters() inside the loop would have drawn).
-    double sum = 0.0;
-    for (const Cycles pass : passes)
-        sum += core_.noisyMeasurement(static_cast<double>(pass));
-    return sum / static_cast<int>(passes.size());
 }
 
 double
-CovertChannel::observeSlot(TrialContext &ctx, bool bit)
+CovertChannel::measure(const SlotRaw &raw)
+{
+    if (observableIsPower())
+        return raw.microjoules;
+    // The rdtscp noise of every record, in record order (for the MT
+    // channels, what timing each pass inside the loop would have
+    // drawn).
+    double sum = 0.0;
+    for (const Cycles cycles : raw.cycles)
+        sum += core_.noisyMeasurement(static_cast<double>(cycles));
+    return sum / static_cast<int>(raw.cycles.size());
+}
+
+SlotWalk
+CovertChannel::slotWalk(TrialContext &ctx)
+{
+    // Slots replay only when their start leaves the core alone and
+    // draws nothing, and no domain-switch hook counts switches.
+    const bool replay = replaysSlots() && core_.periodSkipAllowed() &&
+        !ctx.environment().slotActsOnCore() &&
+        !ctx.defense().slotActsOnCore();
+    return SlotWalk(core_, replay ? ctx.slotGraph() : nullptr,
+                    ctx.slotTally());
+}
+
+double
+CovertChannel::observeSlot(TrialContext &ctx, bool bit, SlotWalk &walk)
 {
     // One transmission slot under the environment and the defense:
     // interference lands before the bit (frontend pollution,
@@ -117,10 +137,12 @@ CovertChannel::observeSlot(TrialContext &ctx, bool bit)
     Defense &defense = ctx.defense();
     env.beginSlot(core_);
     defense.beginSlot(core_);
-    const double raw = transmitBit(bit);
+    SlotRaw raw;
+    walk.slot(bit, raw.cycles, [&] { transmitBit(bit, raw); });
+    const double measured = measure(raw);
     if (observableIsPower())
-        return env.perturbPower(defense.filterPower(raw));
-    return env.perturbTiming(defense.filterTiming(raw));
+        return env.perturbPower(defense.filterPower(measured));
+    return env.perturbTiming(defense.filterTiming(measured));
 }
 
 void
@@ -161,12 +183,13 @@ CovertChannel::calibrate(TrialContext &ctx, int preamble_bits)
     const std::uint64_t draws_before = rngThreadDraws();
 
     prepareMachine(ctx);
+    SlotWalk walk = slotWalk(ctx);
 
     // Warmup: the very first transmissions pay cold-start costs (L1I
     // and DSB fills, BTB misses) that would skew calibration; discard
     // them.
     for (int i = 0; i < 4; ++i)
-        observeSlot(ctx, (i % 2) == 1);
+        observeSlot(ctx, (i % 2) == 1, walk);
 
     // Calibration preamble: alternating 0s and 1s with known values
     // (Sec. VI-B). Class means become the decoding reference.
@@ -176,7 +199,7 @@ CovertChannel::calibrate(TrialContext &ctx, int preamble_bits)
     int n1 = 0;
     for (int i = 0; i < preamble_bits; ++i) {
         const bool bit = (i % 2) == 1;
-        const double obs = observeSlot(ctx, bit);
+        const double obs = observeSlot(ctx, bit, walk);
         if (bit) {
             sum1 += obs;
             ++n1;
@@ -186,6 +209,7 @@ CovertChannel::calibrate(TrialContext &ctx, int preamble_bits)
         }
     }
     lf_assert(n0 > 0 && n1 > 0, "preamble too short");
+    walk.sync();
 
     Calibration calib;
     calib.mean0 = sum0 / n0;
@@ -214,6 +238,7 @@ CovertChannel::transmitMessage(const std::vector<bool> &message,
     result.meanObs0 = calib.mean0;
     result.meanObs1 = calib.mean1;
 
+    SlotWalk walk = slotWalk(ctx);
     const Cycles start = core_.cycle();
     result.received.reserve(message.size());
     for (bool bit : message) {
@@ -222,13 +247,16 @@ CovertChannel::transmitMessage(const std::vector<bool> &message,
         // is the paper's plain protocol.
         int votes = 0;
         for (int r = 0; r < cfg_.repetition; ++r) {
-            const double obs = observeSlot(ctx, bit);
+            const double obs = observeSlot(ctx, bit, walk);
             if (std::fabs(obs - calib.mean1) <
                 std::fabs(obs - calib.mean0))
                 ++votes;
         }
         result.received.push_back(2 * votes > cfg_.repetition);
     }
+    // The trial ends here: counters, snapshots and the elapsed time
+    // read the core, so it takes up the walked state first.
+    walk.sync();
     const Cycles elapsed = core_.cycle() - start;
 
     result.seconds = core_.secondsOf(static_cast<double>(elapsed));

@@ -29,6 +29,7 @@
 
 namespace lf {
 
+class SlotWalk;
 class TrialContext;
 
 /** Parameters shared by the channel implementations (Sec. V names). */
@@ -98,6 +99,19 @@ struct ChannelResult
     double meanObs1 = 0.0;
 };
 
+/** What one slot's machine work leaves for the receiver to measure,
+ *  before any measurement noise. */
+struct SlotRaw
+{
+    /** True cycle counts: the timed window of a non-MT timing
+     *  channel, or one record per receiver pass of an MT channel. */
+    std::vector<Cycles> cycles;
+    /** Power channels: RAPL energy per encode/decode round
+     *  (microjoules). The meter's own noise is drawn when it is read,
+     *  inside the machine work. */
+    double microjoules = 0.0;
+};
+
 /**
  * Base class: a covert channel bound to one simulated Core.
  */
@@ -110,14 +124,32 @@ class CovertChannel
     virtual std::string name() const = 0;
 
     /**
-     * Transmit one bit and return the receiver's raw observable
-     * (cycles for timing channels, watts for power channels).
+     * The machine work of one slot on @p bit: run Init, Encode and
+     * Decode on the core and write the raw observable into @p raw
+     * (true cycles for timing channels, microjoules per round for
+     * power channels). Draws nothing from the core's Rng except
+     * where the hardware itself is random (RAPL meter noise, enclave
+     * entry jitter).
      */
-    virtual double transmitBit(bool bit) = 0;
+    virtual void transmitBit(bool bit, SlotRaw &raw) = 0;
+
+    /**
+     * The receiver's measurement of @p raw, after the machine work:
+     * the mean of noisyMeasurement() over the cycle records in order
+     * (one record: its noisy value), or the energy itself for power
+     * channels.
+     */
+    virtual double measure(const SlotRaw &raw);
 
     /** True when the raw observable is energy (microjoules), not
      *  cycles — selects which Environment perturbation applies. */
     virtual bool observableIsPower() const { return false; }
+
+    /** True when a slot's machine work is a pure function of the
+     *  core's canonical state and the bit, so the slot graph
+     *  (sim/slot_graph.hh) may replay it. Channels that read RAPL or
+     *  enter enclaves say no. */
+    virtual bool replaysSlots() const { return false; }
 
     /** Called once before a transmission (build programs, warm up). */
     virtual void setup() {}
@@ -212,18 +244,24 @@ class CovertChannel
      * receiver (thread 0) runs its Init iterations, then each of
      * @p steps steps wakes the sender (thread 1) on @p encode_one for
      * ChannelConfig::mtSenderIters passes when @p bit is set and
-     * times @p meas_per_step receiver passes. Returns the mean
-     * measured pass time. Steps go through the period-skipping
-     * driver; measurement noise is applied after it, in order.
+     * times @p meas_per_step receiver passes. The true pass times go
+     * to @p passes in order (measure() adds their noise). Steps go
+     * through the period-skipping driver.
      */
-    double measureMtSteps(bool bit, int steps, int meas_per_step,
-                          const PreparedChain &receiver,
-                          const PreparedChain &encode_one);
+    void runMtSteps(bool bit, int steps, int meas_per_step,
+                    const PreparedChain &receiver,
+                    const PreparedChain &encode_one,
+                    std::vector<Cycles> &passes);
 
   private:
     /** One transmission slot under the context's environment and
-     *  defense (the observable pipeline of transmit()'s contract). */
-    double observeSlot(TrialContext &ctx, bool bit);
+     *  defense (the observable pipeline of transmit()'s contract),
+     *  its machine work replayed by @p walk when the slot is known. */
+    double observeSlot(TrialContext &ctx, bool bit, SlotWalk &walk);
+
+    /** A walk over the context's slot graph, or a plain one when
+     *  this trial's slots may not replay. */
+    SlotWalk slotWalk(TrialContext &ctx);
 
   protected:
 

@@ -132,6 +132,7 @@ ChannelRegistry::ChannelRegistry()
             "Non-MT slow-switch (LCP) channel (Table IV, Sec. V-E)";
         info.defaultConfig.r = 16;
         info.defaultConfig.rounds = 20;
+        info.mixBlockChains = false; // LCP add loops: any base.
         registerChannel(info, plainFactory<SlowSwitchChannel>());
     }
 

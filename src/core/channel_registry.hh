@@ -48,7 +48,10 @@ struct ChannelInfo
     std::string description;  //!< One-line paper mapping.
     bool requiresSmt = false; //!< MT channels: needs an SMT model.
     bool requiresSgx = false; //!< SGX channels: needs SGX support.
-    bool powerObservable = false; //!< Observable is watts, not cycles.
+    bool powerObservable = false; //!< Observable is energy, not cycles.
+    /** Code is built from mix-block chains, whose receiverBase and
+     *  senderBase must be 1 KiB aligned (kDsbAliasStride). */
+    bool mixBlockChains = true;
     ChannelConfig defaultConfig;  //!< Paper-table setting.
     ChannelExtras defaultExtras;  //!< Paper-table power/SGX setting.
 };

@@ -4,20 +4,6 @@
 
 namespace lf {
 
-namespace {
-
-std::vector<BlockSpec>
-waySpan(int first_way, int count, bool misaligned)
-{
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        specs.push_back({first_way + i, misaligned});
-    return specs;
-}
-
-} // namespace
-
 MtChannelBase::MtChannelBase(Core &core, const ChannelConfig &config)
     : CovertChannel(core, config)
 {
@@ -26,11 +12,11 @@ MtChannelBase::MtChannelBase(Core &core, const ChannelConfig &config)
               " disabled)", core.model().name.c_str());
 }
 
-double
-MtChannelBase::transmitBit(bool bit)
+void
+MtChannelBase::transmitBit(bool bit, SlotRaw &raw)
 {
-    return measureMtSteps(bit, cfg_.mtSteps, cfg_.mtMeasPerStep,
-                          *receiver_, *encodeOne_);
+    runMtSteps(bit, cfg_.mtSteps, cfg_.mtMeasPerStep, *receiver_,
+               *encodeOne_, raw.cycles);
 }
 
 MtEvictionChannel::MtEvictionChannel(Core &core,

@@ -31,7 +31,8 @@ class MtChannelBase : public CovertChannel
   public:
     MtChannelBase(Core &core, const ChannelConfig &config);
 
-    double transmitBit(bool bit) override;
+    void transmitBit(bool bit, SlotRaw &raw) override;
+    bool replaysSlots() const override { return true; }
 
   protected:
     PreparedChainPtr receiver_;

@@ -9,21 +9,43 @@ namespace {
 
 constexpr ThreadId kThread = 0;
 
-std::vector<BlockSpec>
-waySpan(int first_way, int count, bool misaligned)
-{
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        specs.push_back({first_way + i, misaligned});
-    return specs;
-}
-
 } // namespace
+
+void
+NonMtInterleavedChannel::transmitBit(bool bit, SlotRaw &raw)
+{
+    const Cycles start = core_.cycle();
+    chargeMeasurementOverhead(); // timer start
+
+    // Init: receiver loop, p iterations.
+    core_.setProgram(kThread, *receiver_);
+    runLoopIters(core_, kThread, *receiver_,
+                 static_cast<std::uint64_t>(cfg_.initIters));
+
+    // Interleaved Encode/Decode rounds (Sec. VI-A: the encode/decode
+    // pattern repeats p = q times per bit).
+    const Cycles sync = core_.model().noise.syncCycles;
+    for (int round = 0; round < cfg_.rounds; ++round) {
+        core_.runCycles(sync); // sender phase handoff
+        if (bit) {
+            core_.setProgram(kThread, *encodeOne_);
+            runLoopIters(core_, kThread, *encodeOne_, 1);
+        } else if (cfg_.stealthy) {
+            core_.setProgram(kThread, *encodeZero_);
+            runLoopIters(core_, kThread, *encodeZero_, 1);
+        }
+        core_.runCycles(sync); // receiver phase handoff
+        core_.setProgram(kThread, *receiver_);
+        runLoopIters(core_, kThread, *receiver_, 1);
+    }
+
+    chargeMeasurementOverhead(); // timer stop
+    raw.cycles.push_back(core_.cycle() - start);
+}
 
 NonMtEvictionChannel::NonMtEvictionChannel(Core &core,
                                            const ChannelConfig &config)
-    : CovertChannel(core, config)
+    : NonMtInterleavedChannel(core, config)
 {
 }
 
@@ -55,42 +77,9 @@ NonMtEvictionChannel::setup()
     }
 }
 
-double
-NonMtEvictionChannel::transmitBit(bool bit)
-{
-    const Cycles start = core_.cycle();
-    chargeMeasurementOverhead(); // timer start
-
-    // Init: receiver loop, p iterations.
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    // Interleaved Encode/Decode rounds (Sec. VI-A: the encode/decode
-    // pattern repeats p = q times per bit).
-    const Cycles sync = core_.model().noise.syncCycles;
-    for (int round = 0; round < cfg_.rounds; ++round) {
-        core_.runCycles(sync); // sender phase handoff
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.runCycles(sync); // receiver phase handoff
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
-
-    chargeMeasurementOverhead(); // timer stop
-    const double elapsed = static_cast<double>(core_.cycle() - start);
-    return core_.noisyMeasurement(elapsed);
-}
-
 NonMtMisalignmentChannel::NonMtMisalignmentChannel(
         Core &core, const ChannelConfig &config)
-    : CovertChannel(core, config)
+    : NonMtInterleavedChannel(core, config)
 {
 }
 
@@ -121,36 +110,6 @@ NonMtMisalignmentChannel::setup()
     }
 }
 
-double
-NonMtMisalignmentChannel::transmitBit(bool bit)
-{
-    const Cycles start = core_.cycle();
-    chargeMeasurementOverhead();
-
-    core_.setProgram(kThread, *receiver_);
-    runLoopIters(core_, kThread, *receiver_,
-                 static_cast<std::uint64_t>(cfg_.initIters));
-
-    const Cycles sync = core_.model().noise.syncCycles;
-    for (int round = 0; round < cfg_.rounds; ++round) {
-        core_.runCycles(sync); // sender phase handoff
-        if (bit) {
-            core_.setProgram(kThread, *encodeOne_);
-            runLoopIters(core_, kThread, *encodeOne_, 1);
-        } else if (cfg_.stealthy) {
-            core_.setProgram(kThread, *encodeZero_);
-            runLoopIters(core_, kThread, *encodeZero_, 1);
-        }
-        core_.runCycles(sync); // receiver phase handoff
-        core_.setProgram(kThread, *receiver_);
-        runLoopIters(core_, kThread, *receiver_, 1);
-    }
-
-    chargeMeasurementOverhead();
-    const double elapsed = static_cast<double>(core_.cycle() - start);
-    return core_.noisyMeasurement(elapsed);
-}
-
 SlowSwitchChannel::SlowSwitchChannel(Core &core,
                                      const ChannelConfig &config)
     : CovertChannel(core, config)
@@ -173,8 +132,8 @@ SlowSwitchChannel::setup()
                                  dsbLineUops());
 }
 
-double
-SlowSwitchChannel::transmitBit(bool bit)
+void
+SlowSwitchChannel::transmitBit(bool bit, SlotRaw &raw)
 {
     const Cycles start = core_.cycle();
     chargeMeasurementOverhead(); // Init: start the timer.
@@ -186,8 +145,7 @@ SlowSwitchChannel::transmitBit(bool bit)
                  static_cast<std::uint64_t>(cfg_.rounds));
 
     chargeMeasurementOverhead(); // Decode: stop the timer.
-    const double elapsed = static_cast<double>(core_.cycle() - start);
-    return core_.noisyMeasurement(elapsed);
+    raw.cycles.push_back(core_.cycle() - start);
 }
 
 } // namespace lf

@@ -18,6 +18,28 @@
 namespace lf {
 
 /**
+ * The interleaved slot both non-MT DSB channels share: the receiver
+ * starts its timer, runs Init, then ChannelConfig::rounds rounds of
+ * one encode pass (encodeOne_ for a 1; for a 0 encodeZero_ in the
+ * stealthy variant, else nothing) and one decode pass, each after a
+ * sender/receiver handoff, and stops the timer. Subclasses build the
+ * three chains in setup().
+ */
+class NonMtInterleavedChannel : public CovertChannel
+{
+  public:
+    using CovertChannel::CovertChannel;
+
+    void transmitBit(bool bit, SlotRaw &raw) override;
+    bool replaysSlots() const override { return true; }
+
+  protected:
+    PreparedChainPtr receiver_;
+    PreparedChainPtr encodeOne_;
+    PreparedChainPtr encodeZero_; //!< Stealthy variant only.
+};
+
+/**
  * Non-MT eviction channel (Sec. V-C).
  *
  * Receiver: d blocks (ways 0..d-1) of the target set.
@@ -27,19 +49,13 @@ namespace lf {
  * Encode 0: stealthy — same-length blocks of a different set; fast —
  *           nothing.
  */
-class NonMtEvictionChannel : public CovertChannel
+class NonMtEvictionChannel : public NonMtInterleavedChannel
 {
   public:
     NonMtEvictionChannel(Core &core, const ChannelConfig &config);
 
     std::string name() const override;
     void setup() override;
-    double transmitBit(bool bit) override;
-
-  private:
-    PreparedChainPtr receiver_;
-    PreparedChainPtr encodeOne_;
-    PreparedChainPtr encodeZero_; //!< Stealthy variant only.
 };
 
 /**
@@ -50,19 +66,13 @@ class NonMtEvictionChannel : public CovertChannel
  *           two DSB lines and poisons LSD capture on the set.
  * Encode 0: stealthy — the same blocks aligned; fast — nothing.
  */
-class NonMtMisalignmentChannel : public CovertChannel
+class NonMtMisalignmentChannel : public NonMtInterleavedChannel
 {
   public:
     NonMtMisalignmentChannel(Core &core, const ChannelConfig &config);
 
     std::string name() const override;
     void setup() override;
-    double transmitBit(bool bit) override;
-
-  private:
-    PreparedChainPtr receiver_;
-    PreparedChainPtr encodeOne_;
-    PreparedChainPtr encodeZero_; //!< Stealthy variant only.
 };
 
 /**
@@ -82,7 +92,8 @@ class SlowSwitchChannel : public CovertChannel
 
     std::string name() const override;
     void setup() override;
-    double transmitBit(bool bit) override;
+    void transmitBit(bool bit, SlotRaw &raw) override;
+    bool replaysSlots() const override { return true; }
 
   private:
     PreparedChainPtr mixed_;

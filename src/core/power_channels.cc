@@ -4,20 +4,6 @@
 
 namespace lf {
 
-namespace {
-
-std::vector<BlockSpec>
-waySpan(int first_way, int count, bool misaligned)
-{
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        specs.push_back({first_way + i, misaligned});
-    return specs;
-}
-
-} // namespace
-
 PowerChannelBase::PowerChannelBase(Core &core,
                                    const ChannelConfig &config,
                                    const PowerChannelConfig &power_config)
@@ -26,8 +12,8 @@ PowerChannelBase::PowerChannelBase(Core &core,
     lf_assert(power_config.rounds > 0, "power channel needs rounds > 0");
 }
 
-double
-PowerChannelBase::transmitBit(bool bit)
+void
+PowerChannelBase::transmitBit(bool bit, SlotRaw &raw)
 {
     const MicroJoules e0 = core_.readRapl();
     const Cycles t0 = core_.cycle();
@@ -42,7 +28,7 @@ PowerChannelBase::transmitBit(bool bit)
     // paths of a 1-bit consume distinctly more energy per round, and
     // unlike average watts this observable does not self-cancel when
     // the slow path also stretches the measurement window.
-    return (e1 - e0) / static_cast<double>(powerCfg_.rounds);
+    raw.microjoules = (e1 - e0) / static_cast<double>(powerCfg_.rounds);
 }
 
 PowerEvictionChannel::PowerEvictionChannel(

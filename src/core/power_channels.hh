@@ -35,7 +35,7 @@ class PowerChannelBase : public CovertChannel
     PowerChannelBase(Core &core, const ChannelConfig &config,
                      const PowerChannelConfig &power_config);
 
-    double transmitBit(bool bit) override;
+    void transmitBit(bool bit, SlotRaw &raw) override;
 
     /** The observable is per-round package energy, not cycles. */
     bool observableIsPower() const override { return true; }

@@ -1,6 +1,7 @@
 #include "core/trial_context.hh"
 
 #include "common/logging.hh"
+#include "sim/period_skip.hh"
 
 namespace lf {
 
@@ -44,6 +45,34 @@ TrialContext::bind(const CpuModel &model, std::uint64_t seed,
     env_ = Environment(env, seed);
     defense_.emplace(defense, seed);
     rng_ = Rng(deriveTrialRngSeed(seed));
+    cellNamed_ = false;
+    slotTally_ = SlotTally{};
+}
+
+void
+TrialContext::enterCell(const std::string &key)
+{
+    lf_assert(bound(), "TrialContext::enterCell() before bind()");
+    if (!slotGraph_ || key != graphCell_) {
+        slotGraph_ = std::make_unique<SlotGraph>();
+        graphCell_ = key;
+    }
+    cellNamed_ = true;
+}
+
+const std::string &
+TrialContext::cellKey() const
+{
+    static const std::string none;
+    return cellNamed_ ? graphCell_ : none;
+}
+
+SlotGraph *
+TrialContext::slotGraph()
+{
+    if (!cellNamed_ || !periodSkipEnabled() || !programCacheEnabled())
+        return nullptr;
+    return slotGraph_.get();
 }
 
 Core &

@@ -21,6 +21,12 @@
  * across its whole share of a batch — results are bit-identical to
  * constructing everything afresh per trial, just without the
  * per-trial construction cost.
+ *
+ * The context also carries the slot graph of the sweep cell its
+ * trials belong to (sim/slot_graph.hh): once resolveTrial() names the
+ * cell, the graph survives bind() while the cell stays the same and
+ * starts empty when it changes, so a worker holds at most one cell's
+ * graph.
  */
 
 #ifndef LF_CORE_TRIAL_CONTEXT_HH
@@ -29,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "common/rng.hh"
 #include "core/channel_registry.hh"
@@ -36,6 +43,7 @@
 #include "noise/environment.hh"
 #include "sim/core.hh"
 #include "sim/cpu_model.hh"
+#include "sim/slot_graph.hh"
 
 namespace lf {
 
@@ -108,6 +116,29 @@ class TrialContext
      *  must not perturb the core/message/env/defense streams). */
     Rng &rng() { return rng_; }
 
+    /** @name Slot graph (sim/slot_graph.hh) */
+    /// @{
+    /**
+     * Name the sweep cell of the trial just bound (run/experiment's
+     * warmSnapshotKey()): every trial of one cell resolves to the
+     * same machine. Keeps the slot graph when @p key names the
+     * previous cell, starts an empty one otherwise. A trial whose
+     * cell is not named after bind() runs without a graph.
+     */
+    void enterCell(const std::string &key);
+
+    /** The named cell's key; empty when this trial has none. */
+    const std::string &cellKey() const;
+
+    /** The cell's slot graph, or null when no cell is named or exact
+     *  skipping (PeriodSkipScope) or the prepared-chain cache is
+     *  off. */
+    SlotGraph *slotGraph();
+
+    /** This trial's replayed and simulated slots (reset by bind()). */
+    SlotTally &slotTally() { return slotTally_; }
+    /// @}
+
   private:
     CpuModel model_;
     std::uint64_t seed_ = 0;
@@ -120,6 +151,11 @@ class TrialContext
     Environment env_;
     std::optional<Defense> defense_;
     Rng rng_{0};
+
+    std::unique_ptr<SlotGraph> slotGraph_;
+    std::string graphCell_;
+    bool cellNamed_ = false;
+    SlotTally slotTally_;
 };
 
 } // namespace lf

@@ -138,7 +138,7 @@ class Dsb
                 v.exact(line.key);
                 v.exact(line.tid);
                 v.exact(line.uops);
-                v.stamp(line.lru, lruRank(set, line));
+                v.stamp(line.lru, lruRank(set, line), lruClock_);
             }
         }
         v.monotone(lruClock_);

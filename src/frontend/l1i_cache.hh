@@ -79,7 +79,7 @@ class L1iCache
                     set * numWays_ + way)];
                 v.exact(line.valid);
                 v.exact(line.tag);
-                v.stamp(line.lru, lruRank(set, line));
+                v.stamp(line.lru, lruRank(set, line), lruClock_);
             }
         }
         v.monotone(lruClock_);

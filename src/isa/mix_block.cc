@@ -76,6 +76,16 @@ buildChainImpl(Addr base, int set, const std::vector<BlockSpec> &specs,
 
 } // namespace
 
+std::vector<BlockSpec>
+waySpan(int first_way, int count, bool misaligned)
+{
+    std::vector<BlockSpec> specs;
+    specs.reserve(static_cast<std::size_t>(count));
+    for (int i = 0; i < count; ++i)
+        specs.push_back({first_way + i, misaligned});
+    return specs;
+}
+
 ChainProgram
 buildMixBlockChain(Addr base, int set, const std::vector<BlockSpec> &specs)
 {

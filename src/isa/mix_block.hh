@@ -47,6 +47,10 @@ struct BlockSpec
     bool misaligned = false; //!< Offset the start by kMisalignOffset.
 };
 
+/** @p count consecutive ways from @p first_way, all aligned or all
+ *  misaligned: the receiver/sender block sets of the channels. */
+std::vector<BlockSpec> waySpan(int first_way, int count, bool misaligned);
+
 /** A built chain: the program plus each block's start address. */
 struct ChainProgram
 {

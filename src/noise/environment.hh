@@ -187,6 +187,17 @@ class Environment
      */
     void beginSlot(Core &core);
 
+    /** True when beginSlot() can touch the core or draw (co-runner
+     *  pollution, scheduler jitter or preemption). Otherwise it only
+     *  counts slots, and the slot graph (sim/slot_graph.hh) may
+     *  replay the slot's machine work. Quiet environments: false. */
+    bool slotActsOnCore() const
+    {
+        return !quiet_ && (spec_.corunner.intensity > 0.0 ||
+                           spec_.scheduler.jitterCycles > 0.0 ||
+                           spec_.scheduler.preemptProb > 0.0);
+    }
+
     /** Degrade a timing observation (cycles): preemption stretch,
      *  co-runner slot stealing, timer noise, then quantization. */
     double perturbTiming(double cycles);

@@ -101,6 +101,14 @@ counterCatalog()
         {"snapshot_bypasses", "trials of known non-snapshottable cells"
          " (stochastic calibration) that calibrated cold",
          &CounterSet::snapshotBypasses},
+        {"slot_graph_hits", "transmission slots replayed from the"
+         " cell's slot-transition graph instead of simulated",
+         &CounterSet::slotGraphHits},
+        {"slot_graph_misses", "graph-eligible slots simulated (unknown"
+         " state or bit), each then recorded as an edge",
+         &CounterSet::slotGraphMisses},
+        {"slot_graph_nodes", "slot-start states in the cell's graph at"
+         " the end of the trial", &CounterSet::slotGraphNodes},
     };
     return catalog;
 }

@@ -117,6 +117,14 @@ struct CounterSet
     std::uint64_t snapshotMisses = 0;
     std::uint64_t snapshotBypasses = 0;
     /// @}
+
+    /** @name Slot-transition graph (filled by runExperiment;
+     *  sim/slot_graph.hh) */
+    /// @{
+    std::uint64_t slotGraphHits = 0;
+    std::uint64_t slotGraphMisses = 0;
+    std::uint64_t slotGraphNodes = 0;
+    /// @}
 };
 
 /** Catalog entry: the exported snake_case name, a one-line

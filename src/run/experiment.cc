@@ -103,6 +103,19 @@ resolveConfig(const ExperimentSpec &spec, ChannelConfig &cfg,
         extras.sgx.mtSteps < 1 || extras.sgx.mtMeasPerStep < 1) {
         return "power/SGX round counts must be >= 1";
     }
+    if (info.mixBlockChains) {
+        for (const auto &[key, base] :
+             {std::pair<const char *, Addr>{"receiverBase",
+                                            cfg.receiverBase},
+              {"senderBase", cfg.senderBase}}) {
+            if (base % kDsbAliasStride != 0) {
+                return std::string(key) + "=" + std::to_string(base) +
+                    " is not 1 KiB aligned (mix-block chains need a"
+                    " multiple of " + std::to_string(kDsbAliasStride) +
+                    ")";
+            }
+        }
+    }
     if (info.requiresSmt && cfg.targetSet < 16) {
         return "MT channels need a partition-mapped targetSet >= 16,"
                " got " + std::to_string(cfg.targetSet);
@@ -267,6 +280,7 @@ resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
     // built/reset.
     ctx.bind(model, spec.seed, cfg, extras, env, defense,
              spec.preambleBits);
+    ctx.enterCell(warmSnapshotKey(spec));
     return "";
 }
 
@@ -291,12 +305,10 @@ runTrial(const ExperimentSpec &spec, TrialContext &ctx,
     // and transparently calibrate cold every time. Either way the
     // result is bit-identical to the plain transmit() composition.
     WarmSnapshotPtr snap;
-    std::string cell_key;
+    const std::string &cell_key = ctx.cellKey();
     SnapshotOutcome outcome = SnapshotOutcome::Disabled;
-    if (warmSnapshotsApplicable()) {
-        cell_key = warmSnapshotKey(spec);
+    if (warmSnapshotsApplicable())
         outcome = lookupWarmSnapshot(cell_key, snap);
-    }
 
     CovertChannel::Calibration calib;
     if (outcome == SnapshotOutcome::Hit) {
@@ -389,6 +401,10 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
             snapshotCacheThreadMisses() - snap_misses;
         set->snapshotBypasses =
             snapshotCacheThreadBypasses() - snap_bypasses;
+        set->slotGraphHits = ctx.slotTally().hits;
+        set->slotGraphMisses = ctx.slotTally().misses;
+        const SlotGraph *graph = ctx.slotGraph();
+        set->slotGraphNodes = graph != nullptr ? graph->nodes() : 0;
         out.counters = std::move(set);
     }
     return out;

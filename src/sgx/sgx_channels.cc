@@ -6,16 +6,6 @@ namespace lf {
 
 namespace {
 
-std::vector<BlockSpec>
-waySpan(int first_way, int count, bool misaligned)
-{
-    std::vector<BlockSpec> specs;
-    specs.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i)
-        specs.push_back({first_way + i, misaligned});
-    return specs;
-}
-
 void
 requireSgx(const Core &core)
 {
@@ -34,8 +24,8 @@ SgxNonMtChannelBase::SgxNonMtChannelBase(Core &core,
     requireSgx(core);
 }
 
-double
-SgxNonMtChannelBase::transmitBit(bool bit)
+void
+SgxNonMtChannelBase::transmitBit(bool bit, SlotRaw &raw)
 {
     const Cycles start = core_.cycle();
     chargeMeasurementOverhead();           // receiver starts the timer
@@ -50,8 +40,7 @@ SgxNonMtChannelBase::transmitBit(bool bit)
 
     core_.enclaveTransition(kThread);      // single enclave exit
     chargeMeasurementOverhead();           // receiver stops the timer
-    const double elapsed = static_cast<double>(core_.cycle() - start);
-    return core_.noisyMeasurement(elapsed);
+    raw.cycles.push_back(core_.cycle() - start);
 }
 
 SgxNonMtEvictionChannel::SgxNonMtEvictionChannel(
@@ -135,19 +124,25 @@ SgxMtChannelBase::SgxMtChannelBase(Core &core,
               core.model().name.c_str());
 }
 
-double
-SgxMtChannelBase::transmitBit(bool bit)
+void
+SgxMtChannelBase::transmitBit(bool bit, SlotRaw &raw)
 {
     // The enclave (sender) is entered once per bit on the sibling
     // hardware thread.
     if (bit)
         core_.enclaveTransition(kSender);
+    inEnclave_ = bit;
+    runMtSteps(bit, sgxCfg_.mtSteps, sgxCfg_.mtMeasPerStep, *receiver_,
+               *encodeOne_, raw.cycles);
+}
 
-    const double mean = measureMtSteps(bit, sgxCfg_.mtSteps,
-                                       sgxCfg_.mtMeasPerStep, *receiver_,
-                                       *encodeOne_);
-    if (bit)
+double
+SgxMtChannelBase::measure(const SlotRaw &raw)
+{
+    const double mean = CovertChannel::measure(raw);
+    if (inEnclave_)
         core_.enclaveTransition(kSender);
+    inEnclave_ = false;
     return mean;
 }
 

@@ -47,7 +47,7 @@ class SgxNonMtChannelBase : public CovertChannel
     SgxNonMtChannelBase(Core &core, const ChannelConfig &config,
                         const SgxConfig &sgx_config);
 
-    double transmitBit(bool bit) override;
+    void transmitBit(bool bit, SlotRaw &raw) override;
 
   protected:
     static constexpr ThreadId kThread = 0;
@@ -86,12 +86,18 @@ class SgxMtChannelBase : public CovertChannel
     SgxMtChannelBase(Core &core, const ChannelConfig &config,
                      const SgxConfig &sgx_config);
 
-    double transmitBit(bool bit) override;
+    /** Enters the enclave (for a 1) and runs the MT steps; measure()
+     *  exits it after the receiver's timer reads, so the entry/exit
+     *  jitter draws keep their place around the pass noise in the
+     *  core's Rng stream. */
+    void transmitBit(bool bit, SlotRaw &raw) override;
+    double measure(const SlotRaw &raw) override;
 
   protected:
     static constexpr ThreadId kSender = 1;
 
     SgxConfig sgxCfg_;
+    bool inEnclave_ = false;
     PreparedChainPtr receiver_;
     PreparedChainPtr encodeOne_;
 };

@@ -179,7 +179,11 @@ struct KeyWriter
     template <class T>
     void exact(const T &x) { putWords(sink, x); }
     void monotone(const std::uint64_t &) {}
-    void stamp(const std::uint64_t &, std::uint64_t rank) { sink(rank); }
+    void stamp(const std::uint64_t &, std::uint64_t rank,
+               const std::uint64_t &)
+    {
+        sink(rank);
+    }
     void deadline(const std::uint64_t &due, std::uint64_t clock)
     {
         sink(due > clock ? due - clock : 0);
@@ -195,7 +199,11 @@ struct MonotoneReader
     template <class T>
     void exact(const T &) {}
     void monotone(const std::uint64_t &x) { out.push_back(x); }
-    void stamp(const std::uint64_t &x, std::uint64_t) { out.push_back(x); }
+    void stamp(const std::uint64_t &x, std::uint64_t,
+               const std::uint64_t &)
+    {
+        out.push_back(x);
+    }
     void deadline(const std::uint64_t &x, std::uint64_t)
     {
         out.push_back(x);
@@ -220,7 +228,10 @@ struct MonotoneAdvancer
     template <class T>
     void exact(const T &) {}
     void monotone(std::uint64_t &x) { x = step(x); }
-    void stamp(std::uint64_t &x, std::uint64_t) { x = step(x); }
+    void stamp(std::uint64_t &x, std::uint64_t, const std::uint64_t &)
+    {
+        x = step(x);
+    }
     void deadline(std::uint64_t &x, std::uint64_t) { x = step(x); }
     void ring(std::size_t &x, std::size_t mask) { x = step(x) & mask; }
 };
@@ -234,7 +245,11 @@ struct ImageWriter
     template <class T>
     void exact(const T &x) { putWords(sink, x); }
     void monotone(const std::uint64_t &x) { sink(x); }
-    void stamp(const std::uint64_t &x, std::uint64_t) { sink(x); }
+    void stamp(const std::uint64_t &x, std::uint64_t,
+               const std::uint64_t &)
+    {
+        sink(x);
+    }
     void deadline(const std::uint64_t &x, std::uint64_t) { sink(x); }
     void ring(const std::size_t &x, std::size_t) { sink(x); }
 };
@@ -254,9 +269,114 @@ struct ImageReader
     template <class T>
     void exact(T &x) { getWords(*this, x); }
     void monotone(std::uint64_t &x) { x = (*this)(); }
-    void stamp(std::uint64_t &x, std::uint64_t) { x = (*this)(); }
+    void stamp(std::uint64_t &x, std::uint64_t, const std::uint64_t &)
+    {
+        x = (*this)();
+    }
     void deadline(std::uint64_t &x, std::uint64_t) { x = (*this)(); }
     void ring(std::size_t &x, std::size_t) { x = (*this)(); }
+};
+
+/** Raw values of the counters and clocks: the monotone fields that
+ *  are not LRU stamps, deadlines or ring positions. */
+struct CounterReader
+{
+    std::vector<std::uint64_t> &out;
+
+    template <class T>
+    void exact(const T &) {}
+    void monotone(const std::uint64_t &x) { out.push_back(x); }
+    void stamp(const std::uint64_t &, std::uint64_t,
+               const std::uint64_t &)
+    {
+    }
+    void deadline(const std::uint64_t &, std::uint64_t) {}
+    void ring(const std::size_t &, std::size_t) {}
+};
+
+/**
+ * Writes a canonical key back into the core: exact fields verbatim
+ * (the key and the image encode them alike), counters and clocks
+ * from a monotoneCounters() vector, and the two key-only forms
+ * placed against their clock once every clock is set (components
+ * visit a clock after the fields that hang off it): each deadline at
+ * its distance from the clock, each valid LRU stamp just below the
+ * clock in rank order. Ring positions keep whatever they were.
+ */
+struct KeyReader
+{
+    const std::vector<std::uint64_t> &key;
+    const std::vector<std::uint64_t> &counters;
+    std::size_t next = 0;
+    std::size_t nextCounter = 0;
+
+    struct Mark
+    {
+        std::uint64_t *field;
+        const std::uint64_t *clock;
+        std::uint64_t value; //!< Rank, or distance ahead of the clock.
+    };
+    std::vector<Mark> stamps = {};
+    std::vector<Mark> deadlines = {};
+
+    std::uint64_t operator()()
+    {
+        lf_assert(next < key.size(), "canonical key too short");
+        return key[next++];
+    }
+
+    template <class T>
+    void exact(T &x) { getWords(*this, x); }
+    void monotone(std::uint64_t &x)
+    {
+        lf_assert(nextCounter < counters.size(),
+                  "counter vector too short");
+        x = counters[nextCounter++];
+    }
+    void stamp(std::uint64_t &x, std::uint64_t, const std::uint64_t &clock)
+    {
+        // Invalid lines (no rank) keep any stamp: none is ever read.
+        const std::uint64_t rank = (*this)();
+        if (rank != kNoRank)
+            stamps.push_back({&x, &clock, rank});
+    }
+    void deadline(std::uint64_t &x, const std::uint64_t &clock)
+    {
+        deadlines.push_back({&x, &clock, (*this)()});
+    }
+    void ring(std::size_t &, std::size_t) {}
+
+    void apply()
+    {
+        lf_assert(next == key.size() && nextCounter == counters.size(),
+                  "canonical key or counters do not match this core");
+        // A passed deadline (distance 0) lands on the clock: still
+        // passed, as the clock only grows.
+        for (const Mark &m : deadlines)
+            *m.field = *m.clock + m.value;
+        // Stamps of one clock sit in [clock - top, clock), top being
+        // that clock's highest rank + 1. A set holding rank r has
+        // r + 1 valid lines, each stamped by its own tick, so a clock
+        // reached by real execution is never below top.
+        std::vector<std::pair<const std::uint64_t *, std::uint64_t>> tops;
+        for (const Mark &m : stamps) {
+            auto it = std::find_if(tops.begin(), tops.end(),
+                                   [&](const auto &t) {
+                                       return t.first == m.clock;
+                                   });
+            if (it == tops.end())
+                tops.emplace_back(m.clock, m.value + 1);
+            else
+                it->second = std::max(it->second, m.value + 1);
+        }
+        for (const Mark &m : stamps) {
+            std::uint64_t top = 0;
+            for (const auto &t : tops)
+                top = t.first == m.clock ? t.second : top;
+            lf_assert(*m.clock >= top, "LRU clock below its ranks");
+            *m.field = *m.clock - top + m.value;
+        }
+    }
 };
 
 } // namespace
@@ -307,9 +427,9 @@ Core::visitState(V &v)
     v.exact(raplSyncCycle_);
 }
 
-// The readers below only read; visitState() is shared with the two
-// writers (advancePeriods, loadStateImage) so each field is listed
-// exactly once.
+// The readers below only read; visitState() is shared with the three
+// writers (advancePeriods, loadStateImage, loadCanonicalKey) so each
+// field is listed exactly once.
 
 std::uint64_t
 Core::canonicalHash() const
@@ -359,6 +479,14 @@ Core::advancePeriods(const std::vector<std::uint64_t> &before,
     skippedPeriodCycles_ += cycle() - from;
 }
 
+void
+Core::monotoneCounters(std::vector<std::uint64_t> &out) const
+{
+    out.clear();
+    CounterReader reader{out};
+    const_cast<Core *>(this)->visitState(reader);
+}
+
 std::vector<std::uint64_t>
 Core::stateImage() const
 {
@@ -385,6 +513,15 @@ Core::loadStateImage(const std::vector<std::uint64_t> &image)
     visitState(reader);
     lf_assert(reader.next == image.size(),
               "state image does not match this core's model");
+}
+
+void
+Core::loadCanonicalKey(const std::vector<std::uint64_t> &key,
+                       const std::vector<std::uint64_t> &counters)
+{
+    KeyReader reader{key, counters};
+    visitState(reader);
+    reader.apply();
 }
 
 void

@@ -215,6 +215,27 @@ class Core
      */
     void loadStateImage(const std::vector<std::uint64_t> &image);
 
+    /** Overwrite @p out with the raw counters and clocks: the
+     *  monotone fields that are not LRU stamps, deadlines or ring
+     *  positions. What a stretch of simulation adds to them depends
+     *  only on the canonical key it starts from. */
+    void monotoneCounters(std::vector<std::uint64_t> &out) const;
+
+    /**
+     * Put the core into the state @p key (a canonicalKey()) names,
+     * with counters and clocks @p counters (a monotoneCounters() of
+     * a core that reached that state). What no behaviour reads is
+     * made up: LRU stamps are fresh values of the same ranks just
+     * below their clock, deadlines sit at their distance from their
+     * clock, ring positions stay. Afterwards canonicalKey() is @p key
+     * and the core behaves exactly like the one it was taken from.
+     * The slot graph (sim/slot_graph.hh) stores only keys and puts a
+     * core into a recorded state this way, at any absolute time. Same
+     * preconditions as loadStateImage().
+     */
+    void loadCanonicalKey(const std::vector<std::uint64_t> &key,
+                          const std::vector<std::uint64_t> &counters);
+
     /** Skips taken since reset() and the cycles they advanced. Not
      *  machine state: outside every image and snapshot. */
     std::uint64_t periodSkips() const { return periodSkips_; }

@@ -131,7 +131,8 @@ void runSpan(Core &core, Cycles cycles, const SpanWatch &watch,
 
 /** @name Skip switch (test instrumentation)
  * Process-global, default on; flip only while no runner is active.
- * On and off give bit-identical results. */
+ * The one switch for all exact skipping: it also gates the slot graph
+ * (sim/slot_graph.hh). On and off give bit-identical results. */
 /// @{
 void setPeriodSkipEnabled(bool on);
 bool periodSkipEnabled();

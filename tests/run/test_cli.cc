@@ -6,14 +6,17 @@
  * the --list-channels/--list-axes catalogs (rendered from the same
  * tables the parser uses, so they cannot drift), and the up-front
  * override-value validation ("--set repetition=2" fails at parse
- * time with the resolver's message).
+ * time with the resolver's message), including the chain-base
+ * alignment that used to abort the process.
  */
 
 #include <gtest/gtest.h>
 
 #include "defense/defense.hh"
 #include "noise/environment.hh"
+#include "core/channel_registry.hh"
 #include "run/cli.hh"
+#include "run/experiment.hh"
 #include "sim/cpu_model.hh"
 
 namespace lf {
@@ -278,6 +281,42 @@ TEST(ValueValidation, ProtocolShapeAndDefenseRangesCheckedUpFront)
     sweep.axes = {{"rounds", {5, 0, 10}}};
     const std::string error = validateSweepSpecValues(sweep);
     EXPECT_NE(error.find("rounds=0"), std::string::npos) << error;
+}
+
+TEST(ValueValidation, UnalignedChainBasesAreErrorsNotAborts)
+{
+    // Mix-block chains sit at 1 KiB-aligned bases. An unaligned
+    // receiverBase/senderBase used to pass validation and abort the
+    // process in the chain builder (rc 134); now it is an error that
+    // names the key, up front and as a row. slow-switch builds LCP
+    // loops, which take any base.
+    for (const std::string &channel : allChannelNames()) {
+        for (const char *key : {"receiverBase", "senderBase"}) {
+            ExperimentSpec spec;
+            spec.channel = channel;
+            spec.cpu = "E-2174G";
+            spec.messageBits = 4;
+            spec.overrides[key] = 1;
+            const ExperimentResult res = runExperiment(spec);
+            const std::string what = channel + " " + key;
+            if (channelInfo(channel).mixBlockChains) {
+                EXPECT_FALSE(res.ok) << what;
+                EXPECT_NE(res.error.find(key), std::string::npos)
+                    << what << ": " << res.error;
+            } else {
+                EXPECT_TRUE(res.ok) << what << ": " << res.error;
+            }
+        }
+    }
+
+    SweepSpec sweep;
+    sweep.channels = {"mt-eviction"};
+    sweep.cpus = {"E-2174G"};
+    sweep.baseOverrides["receiverBase"] = 1.0;
+    EXPECT_NE(validateSweepSpecValues(sweep).find("receiverBase=1"),
+              std::string::npos);
+    sweep.baseOverrides["receiverBase"] = 0x401000;
+    EXPECT_EQ(validateSweepSpecValues(sweep), "");
 }
 
 TEST(Catalogs, ChannelCatalogListsEveryRegistryChannel)

@@ -379,15 +379,22 @@ TEST(StreamingRunner, PeriodSkipOnAndOffAreBitIdentical)
             << "skip on (quiet), threads=" << threads;
         EXPECT_EQ(jsonOf(noisy_on), noisy_off)
             << "skip on (noisy), threads=" << threads;
-        // And it did engage: every power/SGX/MT row skipped.
+        // And it did engage: every power/SGX row skipped periods, and
+        // every MT row skipped periods in the slots it simulated or
+        // replayed whole slots from the slot graph.
         const auto loops = [](const std::string &ch) {
-            return ch.rfind("power-", 0) == 0 ||
-                ch.rfind("sgx-", 0) == 0 || ch.rfind("mt-", 0) == 0;
+            return ch.rfind("power-", 0) == 0 || ch.rfind("sgx-", 0) == 0;
         };
         for (const auto *rows : {&quiet_on, &noisy_on}) {
             for (const ExperimentResult &res : *rows) {
                 if (res.ok && loops(res.spec.channel)) {
                     EXPECT_GT(res.counters->periodSkips, 0u)
+                        << res.spec.channel;
+                }
+                if (res.ok && res.spec.channel.rfind("mt-", 0) == 0) {
+                    EXPECT_GT(res.counters->periodSkips +
+                                  res.counters->slotGraphHits,
+                              0u)
                         << res.spec.channel;
                 }
             }

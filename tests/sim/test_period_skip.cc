@@ -83,11 +83,15 @@ sendBit(const ExperimentSpec &spec, bool bit, bool skip)
     EXPECT_EQ(resolveTrial(spec, ctx), "");
     auto channel = makeChannel(spec.channel, ctx);
     channel->prepareMachine(ctx);
-    channel->transmitBit(!bit);
+    SlotRaw raw;
+    channel->transmitBit(!bit, raw);
+    channel->measure(raw);
 
     BitOutcome out;
     const std::uint64_t draws = rngThreadDraws();
-    out.observable = channel->transmitBit(bit);
+    raw = SlotRaw{};
+    channel->transmitBit(bit, raw);
+    out.observable = channel->measure(raw);
     out.draws = rngThreadDraws() - draws;
 
     const Core &core = ctx.core();

@@ -39,12 +39,6 @@ namespace {
 
 // ---- Part 1: runner throughput (BENCH_runner_throughput.json). ----
 
-/** Single-thread trials/s of this batch recorded at PR 5 (the state
- *  ISSUE 7 starts from: map-backed fetch image, per-trial chain
- *  rebuilds, lock-convoy reorder window). The hot-path gate below
- *  requires at least a 3x improvement over it. */
-constexpr double kPr5BaselineTrialsPerSec = 2400.0;
-
 /** Cheap, valid trial spec: construction overhead must be visible
  *  next to the simulation work, so bits and rounds are minimal. */
 ExperimentSpec
@@ -221,6 +215,7 @@ emitRunnerThroughput(bool smoke, int repeat)
     report.boolean("smoke", smoke);
 
     double reused_t1 = 0.0;
+    double reused_t4 = 0.0;
     double reused_t8 = 0.0;
     std::printf("%8s  %18s\n", "threads", "trials/s");
     for (const int threads : {1, 4, 8}) {
@@ -234,6 +229,8 @@ emitRunnerThroughput(bool smoke, int repeat)
                            reused_samples);
         if (threads == 1)
             reused_t1 = reused_tps;
+        if (threads == 4)
+            reused_t4 = reused_tps;
         if (threads == 8)
             reused_t8 = reused_tps;
     }
@@ -242,8 +239,7 @@ emitRunnerThroughput(bool smoke, int repeat)
     // rebuilds and re-decodes every chain once per trial (the engine
     // still memoises a decode across rebinds within a trial, and
     // snapshots disengage). The ratio checks that the program cache
-    // still pays for itself; the absolute trials/s above carry the
-    // full speedup trajectory against the recorded PR-5 baseline.
+    // still pays for itself.
     double legacy_t1 = 0.0;
     {
         ProgramCachingScope scope(false);
@@ -256,30 +252,20 @@ emitRunnerThroughput(bool smoke, int repeat)
                 " (%.2fx)\n", reused_t1, legacy_t1, cache_speedup);
     report.number("legacy_t1_trials_per_sec", legacy_t1);
     report.number("tuned_over_legacy_t1", cache_speedup);
-    report.number("pr5_baseline_trials_per_sec",
-                  kPr5BaselineTrialsPerSec);
 
-    // The observability overhead budget (docs/OBSERVABILITY.md): the
-    // increment hooks feeding obs::CounterSet are compiled in
-    // unconditionally, so the *counters-off* path — every normal run —
-    // must stay within 2% of the 3x-over-PR-5 throughput the PR-7
-    // runner gated on. The counters-on figure is also measured and
-    // emitted (collection adds one CounterSet copy per trial), but
-    // only reported: opting into counters buys the data with the
-    // overhead.
+    // Counter collection (docs/OBSERVABILITY.md), measured in the same
+    // run as the counters-off figure above and reported, not gated:
+    // opting into counters buys the data with one CounterSet copy per
+    // trial.
     double counters_on_t1 = 0.0;
     {
         obs::CounterScope scope(true);
         counters_on_t1 = trialsPerSec(ExperimentRunner(1), batch, reps);
     }
-    const double pr7_gate = 3.0 * kPr5BaselineTrialsPerSec;
-    std::printf("counters on: %.1f trials/s (off: %.1f; PR-7 gate"
-                " %.1f, 2%% floor %.1f)\n",
-                counters_on_t1, reused_t1, pr7_gate, 0.98 * pr7_gate);
+    std::printf("counters on: %.1f trials/s (off: %.1f)\n",
+                counters_on_t1, reused_t1);
     report.number("counters_off_t1_trials_per_sec", reused_t1);
     report.number("counters_on_t1_trials_per_sec", counters_on_t1);
-    report.number("pr7_gate_trials_per_sec", pr7_gate);
-    report.number("counters_off_overhead_gate", 0.98 * pr7_gate);
 
     // Warm-snapshot section (sim/snapshot.hh): one quiet sweep cell
     // with a 32-bit calibration preamble, run with the cache off
@@ -326,10 +312,10 @@ emitRunnerThroughput(bool smoke, int repeat)
     // Thundering-herd regression check, made deterministic: with a
     // batch smaller than the reorder window no worker can ever be a
     // full window ahead of delivery, so no worker ever parks and a
-    // correct runner issues exactly zero slot-free broadcasts —
-    // independent of scheduling, core count or consumer speed. The
-    // pre-PR-7 runner broadcast to every worker once per delivered
-    // row, which this check counts directly.
+    // correct runner issues exactly zero wakeup broadcasts —
+    // independent of scheduling, core count or consumer speed. A
+    // runner that woke every worker once per delivered row would show
+    // here directly.
     obs::RunMetrics stats;
     {
         ExperimentRunner herd(4);
@@ -365,10 +351,16 @@ emitRunnerThroughput(bool smoke, int repeat)
                 reset_ns > 0.0 ? construct_ns / reset_ns : 0.0);
     report.number("core_construct_ns", construct_ns);
     report.number("core_reset_ns", reset_ns);
-    // Thread-scaling ratio: on a host without 8 hardware threads the
-    // t8 run oversubscribes and the ratio says nothing about the
-    // runner — emit an explicit JSON null ("not measurable here"),
-    // never a misleading sub-1.0 number.
+    // Thread-scaling ratios, reported: on a host without 4 (8)
+    // hardware threads the run oversubscribes and the ratio says
+    // nothing about the runner — emit an explicit JSON null ("not
+    // measurable here"), never a misleading sub-1.0 number.
+    if (hw_threads >= 4) {
+        report.number("t4_over_t1",
+                      reused_t1 > 0.0 ? reused_t4 / reused_t1 : 0.0);
+    } else {
+        report.nullValue("t4_over_t1");
+    }
     if (hw_threads >= 8) {
         report.number("t8_over_t1",
                       reused_t1 > 0.0 ? reused_t8 / reused_t1 : 0.0);
@@ -397,13 +389,6 @@ emitRunnerThroughput(bool smoke, int repeat)
     rc |= bench::shapeCheck("program/chunk cache still pays on the"
                             " single-thread hot path (>= 1.2x)",
                             cache_speedup >= 1.2);
-    rc |= bench::shapeCheck("single-thread throughput >= 3x the PR-5"
-                            " baseline (2.4k trials/s)",
-                            reused_t1 >=
-                                3.0 * kPr5BaselineTrialsPerSec);
-    rc |= bench::shapeCheck("counters-off throughput within 2% of the"
-                            " PR-7 gate baseline",
-                            reused_t1 >= 0.98 * pr7_gate);
     rc |= bench::shapeCheck("warm-snapshot restore is cheaper than"
                             " replaying the calibration",
                             snap_measured && restore_ns < replay_ns);

@@ -45,8 +45,8 @@ struct RunMetrics
     std::uint64_t workerParks = 0;
     /** Times the consumer blocked waiting for the next result. */
     std::uint64_t consumerParks = 0;
-    /** Slot-free broadcasts issued (only ever sent while at least one
-     *  worker is parked). */
+    /** Room-in-window broadcasts issued (only ever sent while at
+     *  least one worker is parked). */
     std::uint64_t wakeBroadcasts = 0;
     /// @}
 

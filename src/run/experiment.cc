@@ -1,5 +1,6 @@
 #include "run/experiment.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -66,6 +67,16 @@ resolveConfig(const ExperimentSpec &spec, ChannelConfig &cfg,
             continue; // resolveEnvironment()'s job.
         if (isDefenseOverrideKey(key))
             continue; // resolveDefense()'s job.
+        // A base becomes an unsigned 64-bit address: reject what that
+        // conversion cannot represent before it happens.
+        if ((key == "receiverBase" || key == "senderBase") &&
+            !(value >= 0.0 && value < 0x1p64 &&
+              value == std::floor(value))) {
+            char buf[32];
+            std::snprintf(buf, sizeof buf, "%g", value);
+            return key + "=" + buf +
+                " is not an address (need an integer in [0, 2^64))";
+        }
         if (!applyChannelOverride(cfg, extras, key, value)) {
             return "unknown config override \"" + key +
                 "\" for channel " + spec.channel;

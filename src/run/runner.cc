@@ -1,13 +1,12 @@
 #include "run/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -36,28 +35,6 @@ runOne(const ExperimentSpec &spec, TrialContext &ctx)
     }
 }
 
-/**
- * One completion slot of the reorder ring (Vyukov bounded-queue
- * style). Ticket i lives in slot i % window, and the slot's `seq`
- * encodes its state:
- *
- *   seq == i              free for the producer of ticket i
- *                         (initially seq == slot index; the consumer
- *                         recycles a consumed slot to i + window);
- *   seq == i + 1          ticket i's result is published and ready.
- *
- * The producer claims by observing seq == i, writes `result`, and
- * publishes with seq = i + 1; the consumer observes readiness, moves
- * the result out, and recycles with seq = i + window. seq is the only
- * synchronisation on the hot path — the mutex below is touched only
- * to park.
- */
-struct alignas(64) Slot
-{
-    std::atomic<std::uint64_t> seq{0};
-    ExperimentResult result;
-};
-
 } // namespace
 
 ExperimentRunner::ExperimentRunner(int threads) : threads_(threads)
@@ -80,8 +57,7 @@ ExperimentRunner::reorderWindowFor(int workers)
 
 void
 ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
-                      const ResultCallback &on_result,
-                      StreamOrder order) const
+                      const ResultCallback &on_result) const
 {
     lf_assert(on_result != nullptr, "streaming run needs a callback");
     if (specs.empty())
@@ -130,8 +106,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     };
 
     if (workers <= 1) {
-        // Single-threaded: compute and deliver inline. Both stream
-        // orders coincide with spec order.
+        // Single-threaded: compute and deliver inline, in spec order.
         TrialContext ctx;
         for (std::size_t i = 0; i < n; ++i) {
             if (trialProbe_)
@@ -153,74 +128,58 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         return;
     }
 
-    // Workers claim spec indices through an atomic ticket counter and
-    // publish into a ring of completion slots; the calling thread is
-    // the only consumer, delivering either in spec order or as
-    // results land. The ring bounds how far workers run ahead of
-    // delivery, so memory stays O(threads + window) however large the
-    // batch is. All steady-state coordination is the per-slot seq
-    // atomics; `mutex` and the condvars exist only to park, and the
-    // Dekker-style flags below (`consumerParked`, `blockedWorkers`)
-    // make every wakeup conditional on somebody actually sleeping:
-    //  - producer publishes seq (seq_cst), then loads consumerParked;
-    //    the consumer stores consumerParked (seq_cst), then re-checks
-    //    seq — at least one side observes the other, so the consumer
-    //    never sleeps through a publish;
-    //  - symmetrically, a worker bumps blockedWorkers (seq_cst), then
-    //    re-checks its slot; the consumer recycles seq (seq_cst),
-    //    then loads blockedWorkers — a recycle never goes unnoticed.
+    // A reorder buffer under one mutex. Ticket i goes in slot
+    // i % window, and a worker claims ticket i only while
+    // i < delivered + window, so that slot has always been emptied by
+    // then and memory stays O(window) however large the batch is. The
+    // calling thread is the only consumer and delivers in spec order.
+    // Each side waits on its own condition variable and is notified
+    // only while it is actually parked.
     const std::size_t window = reorderWindowFor(workers);
-
-    auto slots = std::make_unique<Slot[]>(window);
-    for (std::size_t k = 0; k < window; ++k)
-        slots[k].seq.store(k, std::memory_order_relaxed);
-
-    std::mutex mutex;
-    std::condition_variable resultReady; // consumer parks here
-    std::condition_variable slotFree;    // workers park here
-    std::atomic<std::uint64_t> next{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::atomic<bool> cancelled{false};
-    std::atomic<bool> consumerParked{false};
-    std::atomic<int> blockedWorkers{0};
-    std::atomic<std::uint64_t> workerParks{0};
-    std::atomic<std::uint64_t> consumerParks{0};
-    std::atomic<std::uint64_t> wakeBroadcasts{0};
+    std::mutex mutex; // guards the state below and the park counts
+    std::condition_variable resultReady; // the consumer parks here
+    std::condition_variable roomFree;    // workers park here
+    std::vector<std::optional<ExperimentResult>> slots(window);
+    std::size_t next = 0;      // next ticket to claim
+    std::size_t delivered = 0; // results handed to the callback
+    bool cancelled = false;
+    bool consumerParked = false;
+    int parkedWorkers = 0;
 
     auto work = [&]() {
         TrialContext ctx;
+        std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            const std::uint64_t i = next.fetch_add(1);
-            if (i >= n)
-                return;
-            Slot &slot = slots[i % window];
-            if (slot.seq.load() != i) {
+            if (!cancelled && next < n && next >= delivered + window) {
                 // A full window ahead of delivery: park until the
-                // consumer recycles this slot.
+                // consumer makes room.
                 obs::TraceScope park_span("worker_park");
-                std::unique_lock<std::mutex> lock(mutex);
-                workerParks.fetch_add(1, std::memory_order_relaxed);
-                blockedWorkers.fetch_add(1);
-                slotFree.wait(lock, [&] {
-                    return slot.seq.load() == i || cancelled.load();
+                ++metrics.workerParks;
+                ++parkedWorkers;
+                roomFree.wait(lock, [&] {
+                    return cancelled || next >= n ||
+                        next < delivered + window;
                 });
-                blockedWorkers.fetch_sub(1);
+                --parkedWorkers;
             }
-            if (cancelled.load())
+            if (cancelled || next >= n)
                 return;
+            const std::size_t i = next++;
+            const std::size_t seen = delivered;
+            lock.unlock();
             if (trialProbe_)
-                trialProbe_(i, delivered.load());
+                trialProbe_(i, seen);
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            slot.result = runOne(specs[i], ctx);
+            ExperimentResult result = runOne(specs[i], ctx);
             obs::traceComplete("trial", trial_start, i, true);
-            slot.seq.store(i + 1); // publish (seq_cst)
-            if (consumerParked.load()) {
-                // One consumer; taking the mutex serialises with its
-                // wait entry so the notify cannot be lost.
-                std::lock_guard<std::mutex> lock(mutex);
+            lock.lock();
+            std::optional<ExperimentResult> &slot = slots[i % window];
+            lf_assert(!slot, "ticket %zu would overwrite an undelivered"
+                      " result", i);
+            slot = std::move(result);
+            if (consumerParked && i == delivered)
                 resultReady.notify_one();
-            }
         }
     };
 
@@ -230,112 +189,53 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
         pool.emplace_back(work);
 
     const auto shutdown = [&]() {
-        cancelled.store(true);
-        next.store(n); // no new tickets
         {
             std::lock_guard<std::mutex> lock(mutex);
-            slotFree.notify_all();
+            cancelled = true;
         }
+        roomFree.notify_all();
         for (std::thread &thread : pool)
             thread.join();
     };
 
-    // Park until pred() holds. pred reads only atomics, so checking
-    // it outside the mutex first keeps the fast path lock-free; the
-    // consumerParked handshake (see above) closes the sleep race.
-    const auto consumerWait = [&](auto &&pred) {
-        if (pred())
-            return;
-        obs::TraceScope park_span("consumer_park");
-        consumerParked.store(true);
-        consumerParks.fetch_add(1, std::memory_order_relaxed);
-        {
+    try {
+        for (std::size_t d = 0; d < n; ++d) {
             std::unique_lock<std::mutex> lock(mutex);
-            resultReady.wait(lock, pred);
-        }
-        consumerParked.store(false);
-    };
-
-    // Hand one published slot to the callback. The slot is recycled
-    // *before* the callback runs so workers stream on while the
-    // consumer writes rows; at most the genuinely parked workers are
-    // woken (notify_all because they park on distinct slots — the
-    // non-matching ones re-check their seq and sleep again).
-    const auto deliver = [&](Slot &slot, std::uint64_t recycled_seq) {
-        ExperimentResult result = std::move(slot.result);
-        slot.result = ExperimentResult{};
-        if (metricsSink_ != nullptr || obs::traceEnabled()) {
+            std::optional<ExperimentResult> &slot = slots[d % window];
+            if (!slot) {
+                obs::TraceScope park_span("consumer_park");
+                ++metrics.consumerParks;
+                consumerParked = true;
+                resultReady.wait(lock, [&] { return slot.has_value(); });
+                consumerParked = false;
+            }
+            const ExperimentResult result = std::move(*slot);
+            slot.reset();
             // Window occupancy at this delivery: claimed tickets not
-            // yet handed to the callback. Sampled on the consumer
-            // only, so the histogram needs no synchronisation.
-            const std::uint64_t claimed =
-                std::min<std::uint64_t>(next.load(), n);
-            const std::uint64_t occ = claimed - delivered.load();
+            // yet handed to the callback.
+            const std::size_t occ = next - delivered;
+            ++delivered;
+            // Room for one more ticket; wake the parked workers so
+            // one of them claims it while the callback runs.
+            if (parkedWorkers > 0) {
+                ++metrics.wakeBroadcasts;
+                roomFree.notify_all();
+            }
+            lock.unlock();
             obs::traceCounter("window_occupancy", occ);
             if (metricsSink_ != nullptr) {
                 count_outcome(result);
-                const std::size_t bucket = std::min<std::size_t>(
-                    static_cast<std::size_t>(occ) *
-                        obs::RunMetrics::kOccupancyBuckets / window,
-                    obs::RunMetrics::kOccupancyBuckets - 1);
-                ++metrics.windowOccupancy[bucket];
+                ++metrics.windowOccupancy[std::min<std::size_t>(
+                    occ * obs::RunMetrics::kOccupancyBuckets / window,
+                    obs::RunMetrics::kOccupancyBuckets - 1)];
             }
-        }
-        delivered.fetch_add(1);
-        slot.seq.store(recycled_seq); // recycle (seq_cst)
-        if (blockedWorkers.load() > 0) {
-            wakeBroadcasts.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(mutex);
-            slotFree.notify_all();
-        }
-        on_result(result);
-    };
-
-    try {
-        if (order == StreamOrder::SpecOrder) {
-            for (std::uint64_t d = 0; d < n; ++d) {
-                Slot &slot = slots[d % window];
-                consumerWait([&] { return slot.seq.load() == d + 1; });
-                deliver(slot, d + window);
-            }
-        } else {
-            // Completion order: collect any published slot. Slot k
-            // holds a ready ticket t (t % window == k) exactly when
-            // seq == t + 1, i.e. seq % window == (k + 1) % window.
-            const auto readyTicket = [&](std::size_t k) -> std::int64_t {
-                const std::uint64_t s = slots[k].seq.load();
-                if (s % window == (k + 1) % window)
-                    return static_cast<std::int64_t>(s - 1);
-                return -1;
-            };
-            std::uint64_t count = 0;
-            while (count < n) {
-                std::size_t k = 0;
-                consumerWait([&] {
-                    for (std::size_t j = 0; j < window; ++j) {
-                        if (readyTicket(j) >= 0) {
-                            k = j;
-                            return true;
-                        }
-                    }
-                    return false;
-                });
-                const std::uint64_t ticket =
-                    static_cast<std::uint64_t>(readyTicket(k));
-                deliver(slots[k], ticket + window);
-                ++count;
-            }
+            on_result(result);
         }
     } catch (...) {
         shutdown();
         throw;
     }
     shutdown();
-    if (metricsSink_ != nullptr) {
-        metrics.workerParks = workerParks.load();
-        metrics.consumerParks = consumerParks.load();
-        metrics.wakeBroadcasts = wakeBroadcasts.load();
-    }
     finish_metrics(window);
 }
 
@@ -344,11 +244,9 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs) const
 {
     std::vector<ExperimentResult> results;
     results.reserve(specs.size());
-    run(specs,
-        [&results](const ExperimentResult &res) {
-            results.push_back(res);
-        },
-        StreamOrder::SpecOrder);
+    run(specs, [&results](const ExperimentResult &res) {
+        results.push_back(res);
+    });
     return results;
 }
 

@@ -317,6 +317,14 @@ TEST(ValueValidation, UnalignedChainBasesAreErrorsNotAborts)
               std::string::npos);
     sweep.baseOverrides["receiverBase"] = 0x401000;
     EXPECT_EQ(validateSweepSpecValues(sweep), "");
+    // Values no address can hold are errors too, before the base is
+    // converted to one.
+    for (const double base : {-1024.0, 1e30}) {
+        sweep.baseOverrides["senderBase"] = base;
+        EXPECT_NE(validateSweepSpecValues(sweep).find("senderBase="),
+                  std::string::npos)
+            << base;
+    }
 }
 
 TEST(Catalogs, ChannelCatalogListsEveryRegistryChannel)

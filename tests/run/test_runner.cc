@@ -161,6 +161,24 @@ TEST(ExperimentRunner, ValidatesBadSpecs)
     EXPECT_FALSE(res7[0].ok);
     EXPECT_NE(res7[0].error.find("targetSet >= 16"),
               std::string::npos);
+
+    // Chain bases become unsigned addresses: negative, fractional and
+    // out-of-range values are rejected before that conversion, on
+    // mix-block and LCP-loop channels alike.
+    for (const char *channel : {"nonmt-fast-eviction", "slow-switch"}) {
+        for (const char *key : {"receiverBase", "senderBase"}) {
+            for (const double base : {-1024.0, 1e30, 1024.5}) {
+                spec.channel = channel;
+                spec.cpu = "E-2174G";
+                spec.overrides.clear();
+                spec.overrides[key] = base;
+                const auto res8 = ExperimentRunner(4).run({spec});
+                EXPECT_FALSE(res8[0].ok) << channel << " " << key;
+                EXPECT_NE(res8[0].error.find(key), std::string::npos)
+                    << res8[0].error;
+            }
+        }
+    }
 }
 
 TEST(ExperimentRunner, EmptyBatch)

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -93,41 +92,6 @@ TEST(StreamingRunner, StreamMatchesBatchAtEveryThreadCount)
     }
 }
 
-TEST(StreamingRunner, CompletionOrderDeliversTheSameResultSet)
-{
-    const auto &specs = registryGrid();
-    const auto in_order = ExperimentRunner(1).run(specs);
-
-    std::vector<ExperimentResult> completed;
-    ExperimentRunner(4).run(
-        specs,
-        [&](const ExperimentResult &res) {
-            completed.push_back(res);
-        },
-        StreamOrder::Completion);
-    ASSERT_EQ(completed.size(), in_order.size());
-
-    // Re-establish spec order by matching (channel, cpu, seed,
-    // overrides) — unique per spec in this grid — then compare bytes.
-    const auto key = [](const ExperimentResult &res) {
-        std::string k = res.spec.channel + "|" + res.spec.cpu + "|" +
-            std::to_string(res.spec.seed);
-        for (const auto &[name, value] : res.spec.overrides)
-            k += "|" + name + "=" + std::to_string(value);
-        return k;
-    };
-    const auto by_key = [&key](const ExperimentResult &a,
-                               const ExperimentResult &b) {
-        return key(a) < key(b);
-    };
-    auto sorted_completed = completed;
-    auto sorted_in_order = in_order;
-    std::sort(sorted_completed.begin(), sorted_completed.end(),
-              by_key);
-    std::sort(sorted_in_order.begin(), sorted_in_order.end(), by_key);
-    EXPECT_EQ(jsonOf(sorted_completed), jsonOf(sorted_in_order));
-}
-
 TEST(StreamingRunner, FreshCoresMatchReusedCores)
 {
     // Runner workers rebind one TrialContext per trial; a
@@ -186,24 +150,16 @@ TEST(StreamingRunner, CallbackExceptionStopsAndPropagates)
     EXPECT_EQ(delivered, 3u);
 }
 
-TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
+/** Stream @p specs through @p runner with a consumer that sleeps
+ *  2 ms on every @p sleep_every-th row, asserting on every claim that
+ *  the worker stays inside the reorder window. Returns the JSON sink
+ *  bytes in delivery order. */
+std::string
+streamAgainstWindow(ExperimentRunner &runner,
+                    const std::vector<ExperimentSpec> &specs,
+                    std::size_t sleep_every)
 {
-    // The reorder window is what makes streaming memory-bound: a
-    // worker may claim trial i only while i < delivered + window.
-    // Install the claim probe, slow the consumer so workers pile up
-    // against the window, and check the bound on every single claim.
-    ExperimentSpec spec;
-    spec.channel = "nonmt-fast-eviction";
-    spec.cpu = "Gold 6226";
-    spec.messageBits = 2;
-    std::vector<ExperimentSpec> specs;
-    ExperimentRunner runner(4);
     const std::size_t window = runner.reorderWindow();
-    for (ExperimentSpec &trial :
-         expandTrials(spec, static_cast<int>(window) + 40)) {
-        specs.push_back(std::move(trial));
-    }
-
     std::atomic<std::size_t> violations{0};
     std::atomic<std::size_t> maxLead{0};
     runner.setTrialProbe(
@@ -219,14 +175,19 @@ TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
         });
 
     std::size_t delivered = 0;
+    JsonSink sink("stream");
+    std::ostringstream os;
+    sink.writeHeader(os);
     runner.run(specs, [&](const ExperimentResult &res) {
         EXPECT_TRUE(res.ok);
-        ++delivered;
+        sink.writeRow(res, os);
         // A deliberately slow consumer: give workers every chance
         // to race ahead of delivery.
-        if (delivered < 8)
+        if (delivered++ % sleep_every == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
     });
+    sink.writeFooter(os);
+    runner.setTrialProbe(nullptr);
 
     EXPECT_EQ(delivered, specs.size());
     EXPECT_EQ(violations.load(), 0u);
@@ -235,6 +196,40 @@ TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
     // exercised rather than vacuous.
     EXPECT_GT(maxLead.load(), 0u);
     EXPECT_LT(maxLead.load(), window);
+    return os.str();
+}
+
+TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
+{
+    // The reorder window is what makes streaming memory-bound: a
+    // worker may claim trial i only while i < delivered + window.
+    // Install the claim probe, slow the consumer so workers pile up
+    // against the window, and check the bound on every single claim.
+    ExperimentSpec spec;
+    spec.channel = "nonmt-fast-eviction";
+    spec.cpu = "Gold 6226";
+    spec.messageBits = 2;
+    ExperimentRunner runner(4);
+    const std::vector<ExperimentSpec> specs = expandTrials(
+        spec, static_cast<int>(runner.reorderWindow()) + 40);
+    streamAgainstWindow(runner, specs, 1);
+
+    // Stress: 2,000 tiny trials keep every worker cycling through
+    // the buffer, with a consumer that stalls on every 64th row. The
+    // bytes must match the single-thread stream.
+    ExperimentSpec tiny;
+    tiny.channel = "nonmt-fast-eviction";
+    tiny.cpu = "E-2288G";
+    tiny.seed = 7;
+    tiny.messageBits = 4;
+    tiny.overrides["rounds"] = 2;
+    const std::vector<ExperimentSpec> many = expandTrials(tiny, 2000);
+    const std::string serial = jsonOf(ExperimentRunner(1).run(many));
+    for (const int threads : {4, 8}) {
+        ExperimentRunner stressed(threads);
+        EXPECT_EQ(streamAgainstWindow(stressed, many, 64), serial)
+            << threads;
+    }
 }
 
 TEST(StreamingRunner, ProgramCacheOnAndOffAreBitIdentical)

@@ -50,7 +50,7 @@ cmake --build build-asan -j "${JOBS}" \
 ./build-asan/lf_campaign_test_campaign
 ./build-asan/lf_campaign_test_campaign_files
 
-echo "== TSan: runner/streaming/campaign tests =="
+echo "== TSan: runner/streaming/campaign/fingerprint-study tests =="
 # The streaming runner's workers and consumer share one reorder
 # buffer under one mutex; ThreadSanitizer is the gate that every
 # access to it stays under that lock.
@@ -59,7 +59,9 @@ cmake --build build-tsan -j "${JOBS}" \
     --target lf_run_test_runner lf_run_test_streaming \
              lf_run_test_hooks lf_sim_test_snapshot lf_sim_test_period_skip \
              lf_sim_test_slot_graph lf_campaign_test_campaign \
-             lf_campaign_test_campaign_files lf_run
+             lf_campaign_test_campaign_files \
+             lf_fingerprint_test_fingerprint \
+             lf_defense_test_defense_determinism lf_run
 ./build-tsan/lf_run_test_runner
 ./build-tsan/lf_run_test_streaming
 # The warm-snapshot cache is process-wide mutable state shared by all
@@ -72,6 +74,12 @@ cmake --build build-tsan -j "${JOBS}" \
 ./build-tsan/lf_run_test_hooks
 ./build-tsan/lf_campaign_test_campaign
 ./build-tsan/lf_campaign_test_campaign_files
+# A fingerprint study records its traces on a pool of threads, each
+# into its own slot; the study cases and the defended-study comparison
+# run it under TSan.
+./build-tsan/lf_fingerprint_test_fingerprint --gtest_filter='SideChannel.*Stud*'
+./build-tsan/lf_defense_test_defense_determinism \
+    --gtest_filter='DefenseDirection.PartitioningKillsMtButNotFingerprinting'
 ./build-tsan/lf_run --channel mt-eviction --cpu "Gold 6226" \
     --sweep d=4:6:1 --trials 2 --threads 4 \
     --json build-tsan/sweep-tsan.json --quiet

@@ -1,5 +1,10 @@
 #include "fingerprint/side_channel.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/trial_context.hh"
@@ -178,21 +183,63 @@ runFingerprintStudy(const CpuModel &model,
                     std::uint64_t seed_base,
                     const DefenseSpec &defense)
 {
+    // Everything a trace would assert is checked here first, so a bad
+    // call dies once, on the calling thread, before any worker starts.
+    lf_assert(model.smtEnabled,
+              "the IPC side channel needs SMT (disabled on %s)",
+              model.name.c_str());
+    lf_assert(config.sampleCycles > 0, "an IPC sample needs cycles");
     lf_assert(runs_per_workload >= 2,
               "need >= 2 runs for intra-distance");
 
+    const std::size_t runs = static_cast<std::size_t>(runs_per_workload);
     FingerprintStudy study;
     for (const auto &workload : workloads) {
         study.names.push_back(workload.name());
-        std::vector<std::vector<double>> runs;
-        for (int r = 0; r < runs_per_workload; ++r) {
-            runs.push_back(attackerIpcTrace(
-                model, workload, config,
-                seed_base + static_cast<std::uint64_t>(r) * 131 +
-                    study.names.size() * 7919,
-                defense));
+        study.traces.emplace_back(runs);
+    }
+
+    // Each trace is a pure function of its seed, so the traces are
+    // recorded on a pool of threads (the caller is one of them), each
+    // into its own pre-sized slot. Ticket i is run i % runs of workload
+    // i / runs. The statistics below read the traces after the join,
+    // in the same order as ever, so the study is the same to the byte
+    // at any thread count.
+    const std::size_t count = workloads.size() * runs;
+    const std::size_t threads = std::max<std::size_t>(
+        1, std::min<std::size_t>(std::thread::hardware_concurrency(),
+                                 count));
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(threads);
+    auto record = [&](std::size_t worker) {
+        try {
+            for (std::size_t i; (i = next.fetch_add(1)) < count;) {
+                const std::size_t w = i / runs;
+                const std::size_t r = i % runs;
+                study.traces[w][r] = attackerIpcTrace(
+                    model, workloads[w], config,
+                    seed_base + r * 131 + (w + 1) * 7919, defense);
+            }
+        } catch (...) {
+            errors[worker] = std::current_exception();
+            next.store(count); // the others stop claiming tickets
         }
-        study.traces.push_back(std::move(runs));
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(threads - 1);
+    try {
+        for (std::size_t t = 1; t < threads; ++t)
+            pool.emplace_back(record, t);
+    } catch (...) {
+        // A thread that could not start only means fewer workers: the
+        // ones running, the caller included, claim every ticket left.
+    }
+    record(0);
+    for (std::thread &thread : pool)
+        thread.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
 
     const std::size_t n = workloads.size();

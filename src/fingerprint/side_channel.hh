@@ -79,7 +79,10 @@ struct FingerprintStudy
 /**
  * Run @p runsPerWorkload traces of every workload and compute the
  * intra/inter distance statistics of Figs. 11-12, optionally with
- * every trace recorded on a machine deploying @p defense.
+ * every trace recorded on a machine deploying @p defense. The traces
+ * are recorded on up to std::thread::hardware_concurrency() threads,
+ * the caller among them; the study is the same to the byte at any
+ * thread count.
  */
 FingerprintStudy runFingerprintStudy(const CpuModel &model,
                                      const std::vector<VictimWorkload> &

@@ -23,6 +23,8 @@ buildPhaseProgram(const WorkloadPhase &phase)
         ? std::max(1, 32 / phase.lcpPer32Blocks) : 0;
 
     Assembler as(kVictimBase);
+    // Four body instructions and a jump per block.
+    as.program().reserve(static_cast<std::size_t>(blocks) * 5);
     std::vector<Addr> starts;
     starts.reserve(static_cast<std::size_t>(blocks));
     for (int i = 0; i < blocks; ++i)

@@ -64,9 +64,10 @@ PreparedChainPtr prepareLcpAddLoop(Addr base, LcpPattern pattern, int r,
 /// @}
 
 /** @name Hot-path caching knob (test/bench instrumentation)
- * Process-global; flip only while no runner is active. Results are
- * bit-identical either way — that invariant is what the streaming
- * tests assert and what makes the switch safe to expose.
+ * Process-global; flip only while no runner or fingerprint study is
+ * active. Results are bit-identical either way — that invariant is
+ * what the streaming tests assert and what makes the switch safe to
+ * expose.
  */
 /// @{
 /** Share prepared chains across trials (default on). Off: prepare*()

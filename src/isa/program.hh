@@ -49,6 +49,10 @@ class Program
     /** Add an instruction; addresses must not overlap. */
     void add(const StaticInst &inst);
 
+    /** Make room for @p n instructions (a builder that knows its size
+     *  avoids the vector's doubling slack). */
+    void reserve(std::size_t n) { insts_.reserve(n); }
+
     /** Instruction starting exactly at @p addr, or nullptr. */
     const StaticInst *at(Addr addr) const;
 

@@ -130,7 +130,8 @@ void runSpan(Core &core, Cycles cycles, const SpanWatch &watch,
              std::vector<std::uint64_t> &counts);
 
 /** @name Skip switch (test instrumentation)
- * Process-global, default on; flip only while no runner is active.
+ * Process-global, default on; flip only while no runner or
+ * fingerprint study is active.
  * The one switch for all exact skipping: it also gates the slot graph
  * (sim/slot_graph.hh). On and off give bit-identical results. */
 /// @{

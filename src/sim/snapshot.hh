@@ -75,7 +75,8 @@ struct WarmSnapshot
 using WarmSnapshotPtr = std::shared_ptr<const WarmSnapshot>;
 
 /** @name Cache switch (test/bench instrumentation)
- * Process-global, default on; flip only while no runner is active.
+ * Process-global, default on; flip only while no runner or
+ * fingerprint study is active.
  * Snapshots additionally require the prepared-chain cache
  * (frontend/prepared.hh) to be enabled — a decode it does not own
  * cannot be pinned. */

@@ -115,6 +115,9 @@ TEST(SideChannel, RequiresSmt)
     const auto cnns = cnnWorkloads();
     EXPECT_DEATH(attackerIpcTrace(xeonE2288G(), cnns[0], config, 1),
                  "SMT");
+    // The study checks before any worker starts.
+    EXPECT_DEATH(runFingerprintStudy(xeonE2288G(), cnns, config, 2),
+                 "SMT");
 }
 
 TEST(Workloads, ZeroLengthPhaseIsRejected)
@@ -221,6 +224,20 @@ TEST(SideChannel, PeriodSkipOnAndOffGiveIdenticalStudies)
     EXPECT_EQ(on.traces, off.traces);
     EXPECT_EQ(on.distanceMatrix, off.distanceMatrix);
     EXPECT_EQ(on.classificationAccuracy, off.classificationAccuracy);
+
+    // The study records its traces on several threads; each must equal
+    // a serial trace with the study's seed (default seed base 1000).
+    const std::vector<VictimWorkload> victims = mobileWorkloads();
+    ASSERT_EQ(on.traces.size(), victims.size());
+    for (std::size_t w = 0; w < victims.size(); ++w) {
+        ASSERT_EQ(on.traces[w].size(), 2u);
+        for (std::size_t r = 0; r < 2; ++r) {
+            EXPECT_EQ(on.traces[w][r],
+                      attackerIpcTrace(gold6226(), victims[w], config,
+                                       1000 + r * 131 + (w + 1) * 7919))
+                << victims[w].name() << " run " << r;
+        }
+    }
 }
 
 } // namespace

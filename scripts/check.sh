@@ -132,11 +132,14 @@ echo "== ASan/UBSan: defense-grid smoke test =="
 
 echo "== ASan/UBSan: campaign smoke (plan / kill / resume / merge) =="
 # A 4-shard campaign over a small grid: shard 0 is killed after one
-# row (--max-new 1), every shard is then run to completion (shard 0
-# resumes), and the merged summary must be byte-identical to the
-# unsharded lf_run --summary of the same grid.
+# row (--max-new 1; its partial cell is flushed to the result cache),
+# every shard is then run to completion (shard 0 resumes), and the
+# merged summary must be byte-identical to the unsharded lf_run
+# --summary of the same grid. The same grid re-planned into a second
+# directory then runs wholly from the cache: status must report a
+# 100.0% hit rate and its merged summary must match too.
 camp_dir="build-asan/campaign-smoke"
-rm -rf "${camp_dir}"
+rm -rf "${camp_dir}" "${camp_dir}-cache" "${camp_dir}-warm"
 ./build-asan/lf_run --channel nonmt-fast-eviction --channel slow-switch \
     --cpu "Gold 6226" --sweep rounds=5:10:5 --trials 2 --bits 12 \
     --seed 11 --summary "${camp_dir}.golden" --quiet
@@ -145,7 +148,7 @@ rm -rf "${camp_dir}"
     --cpu "Gold 6226" --sweep rounds=5:10:5 --trials 2 --bits 12 \
     --seed 11 --quiet
 ./build-asan/lf_campaign run-shard --dir "${camp_dir}" --shard 0 \
-    --max-new 1 --quiet
+    --max-new 1 --cache "${camp_dir}-cache" --quiet
 for shard in 0 1 2 3; do
     ./build-asan/lf_campaign run-shard --dir "${camp_dir}" \
         --shard "${shard}" --cache "${camp_dir}-cache" --quiet
@@ -153,6 +156,19 @@ done
 ./build-asan/lf_campaign status --dir "${camp_dir}"
 ./build-asan/lf_campaign merge --dir "${camp_dir}" --quiet
 cmp "${camp_dir}.golden" "${camp_dir}/merged_summary.txt"
+./build-asan/lf_campaign plan --dir "${camp_dir}-warm" --shards 4 \
+    --channel nonmt-fast-eviction --channel slow-switch \
+    --cpu "Gold 6226" --sweep rounds=5:10:5 --trials 2 --bits 12 \
+    --seed 11 --quiet
+for shard in 0 1 2 3; do
+    ./build-asan/lf_campaign run-shard --dir "${camp_dir}-warm" \
+        --shard "${shard}" --cache "${camp_dir}-cache" --quiet
+done
+warm_status="$(./build-asan/lf_campaign status --dir "${camp_dir}-warm")"
+echo "${warm_status}"
+grep -q "cache hit rate 100.0%" <<< "${warm_status}"
+./build-asan/lf_campaign merge --dir "${camp_dir}-warm" --quiet
+cmp "${camp_dir}.golden" "${camp_dir}-warm/merged_summary.txt"
 
 echo "== ASan/UBSan: campaign-overhead smoke test =="
 (cd build-asan && ./campaign_overhead --smoke > /dev/null)

@@ -9,20 +9,33 @@
  * different sharding; a grid grown by one axis value; a straight
  * re-run) then skip every trial they share with history.
  *
- * Layout: `<root>/<k[0:2]>/<key>.rec`, two-level to keep directories
- * small at million-entry scale. Entries are written atomically
- * (writeFileAtomic), so a kill never leaves a partial entry; on read,
- * an entry must parse exactly AND its stored spec must hash back to
- * the key it was filed under — a corrupt, truncated, or misfiled
+ * One entry holds one sweep cell: `<root>/<c[0:2]>/<c>.rec`, where c
+ * is cellKey(spec), lists every stored trial of that cell (any seed,
+ * any trial index) as one row under its trial key, sorted by key so
+ * equal contents give equal bytes. A campaign reads each cell's entry
+ * once and writes it once (storeCell(): read, merge, rewrite), so a
+ * cold campaign creates one file per cell, not one per trial.
+ *
+ * Entries are written atomically (writeFileAtomic), so a kill never
+ * leaves a partial entry. Two processes storing the same cell at once
+ * can lose each other's rows (the last rename wins); that costs later
+ * misses, never a wrong row. Within one campaign shards never share a
+ * cell. On read an entry must parse exactly, its closing checksum must
+ * match, and every row's stored spec must hash back to its own trial
+ * key and to the entry's cell key — a corrupt, truncated, or misfiled
  * entry is a diagnosed error (path + reason), never a silent wrong
  * result and never treated as a mere miss (per the file-hardening
- * contract; delete the named file to recover).
+ * contract; delete the named file to recover). Entries of the older
+ * one-trial-per-file layout (`lfcampaign-cache v1`) are filed under
+ * trial keys, so no lookup ever opens them: they are ignored.
  */
 
 #ifndef LF_CAMPAIGN_CACHE_HH
 #define LF_CAMPAIGN_CACHE_HH
 
+#include <map>
 #include <string>
+#include <vector>
 
 #include "run/experiment.hh"
 
@@ -31,6 +44,9 @@ namespace lf {
 class ResultCache
 {
   public:
+    /** One cell's stored trials, keyed by canonicalTrialText(). */
+    using CellRows = std::map<std::string, ExperimentResult>;
+
     /** @param root Cache directory; empty disables the cache (every
      *  lookup misses, every store is a no-op). */
     explicit ResultCache(std::string root = "");
@@ -38,8 +54,25 @@ class ResultCache
     bool enabled() const { return !root_.empty(); }
     const std::string &root() const { return root_; }
 
-    /** Entry file path for @p spec (valid only when enabled). */
+    /** Entry file of @p spec's cell (valid only when enabled). */
     std::string entryPath(const ExperimentSpec &spec) const;
+
+    /**
+     * Read the entry of @p spec's cell into @p rows (cleared first; a
+     * missing entry leaves it empty).
+     * @return "" or the corrupt-entry diagnostic (path and reason).
+     */
+    std::string loadCell(const ExperimentSpec &spec,
+                         CellRows &rows) const;
+
+    /**
+     * Merge @p results, trials of one cell, into that cell's entry and
+     * rewrite it with one atomic write. Stored rows of other trials
+     * (other seeds, larger grids) are kept; a stored row of the same
+     * trial is replaced. @return an error message or "".
+     */
+    std::string storeCell(const std::vector<ExperimentResult> &results)
+        const;
 
     /**
      * Look @p spec up. Outcomes: hit (@return true, @p res filled),
@@ -49,8 +82,8 @@ class ResultCache
     bool lookup(const ExperimentSpec &spec, ExperimentResult &res,
                 std::string &error) const;
 
-    /** Store @p res under @p spec's content address (atomic).
-     *  @return an error message or "". */
+    /** Store @p res, the result of @p spec, into its cell's entry
+     *  (storeCell() of one row). @return an error message or "". */
     std::string store(const ExperimentSpec &spec,
                       const ExperimentResult &res) const;
 

@@ -270,23 +270,37 @@ runCampaignShard(const std::string &dir, int shard,
         report();
     };
 
+    // A shard's batch is its cells in order, `trials` rows each, so a
+    // row's cell ordinal is local / trials. The cache reads and writes
+    // whole cells: one entry load per cell in the lookup pass, and one
+    // store per cell once its last miss is delivered.
+    const std::size_t trials =
+        static_cast<std::size_t>(manifest.spec.trials);
     const ResultCache cache(options.cacheDir);
     const auto start = std::chrono::steady_clock::now();
     obs::RunMetrics runnerMetrics;
     std::vector<std::size_t> misses;
     try {
+        ResultCache::CellRows cellRows;
+        std::size_t loadedCell = batch.size(); // None yet.
         for (const std::size_t local : todo) {
-            ExperimentResult cached;
-            std::string cacheError;
-            if (cache.lookup(batch[local], cached, cacheError)) {
+            if (cache.enabled() && local / trials != loadedCell) {
+                loadedCell = local / trials;
+                const std::string cacheError =
+                    cache.loadCell(batch[local], cellRows);
+                if (!cacheError.empty())
+                    return cacheError;
+            }
+            const auto hit =
+                cellRows.find(canonicalTrialText(batch[local]));
+            if (hit != cellRows.end()) {
                 ++run.cacheHits;
-                record(local, cached);
-            } else if (!cacheError.empty()) {
-                return cacheError;
+                record(local, hit->second);
             } else {
                 misses.push_back(local);
             }
         }
+        cellRows.clear();
 
         std::vector<ExperimentSpec> runSpecs;
         runSpecs.reserve(misses.size());
@@ -296,16 +310,26 @@ runCampaignShard(const std::string &dir, int shard,
         ExperimentRunner runner(options.threads);
         runner.setMetricsSink(&runnerMetrics);
         std::size_t delivered = 0;
+        // The delivered rows of the cell in flight. Each row reaches
+        // the shard log first; if a callback throws, the buffered rows
+        // never reach the cache (the log already holds them).
+        std::vector<ExperimentResult> pending;
         runner.run(runSpecs, [&](const ExperimentResult &res) {
             // SpecOrder delivery: the k-th callback is runSpecs[k].
             const std::size_t local = misses[delivered++];
             ++run.executed;
             record(local, res);
-            if (cache.enabled()) {
-                const std::string bad =
-                    cache.store(batch[local], res);
+            if (!cache.enabled())
+                return;
+            pending.push_back(res);
+            // A cell's misses are contiguous; the run's last miss also
+            // flushes a cell cut short by maxNewRows.
+            if (delivered == misses.size() ||
+                misses[delivered] / trials != local / trials) {
+                const std::string bad = cache.storeCell(pending);
                 if (!bad.empty())
                     throw std::runtime_error(bad);
+                pending.clear();
             }
         });
     } catch (const std::runtime_error &e) {

@@ -1,5 +1,7 @@
 #include "campaign/files.hh"
 
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -41,13 +43,15 @@ writeFileAtomic(const std::string &path, const std::string &content)
                 ec.message() + ")";
         }
     }
-    // The temp name is per-process so concurrent shard processes
-    // writing the same cache entry race benignly: both renames land
-    // identical content.
+    // The temp name is unique per process and per call, so writers of
+    // one path (shard processes, or threads of one process) never
+    // share a temporary file: each rename lands one whole body.
+    static std::atomic<std::uint64_t> tmpSerial{0};
     const fs::path tmp =
         target.parent_path() /
         (target.filename().string() + ".tmp." +
-         std::to_string(static_cast<long long>(getpid())));
+         std::to_string(static_cast<long long>(getpid())) + "." +
+         std::to_string(tmpSerial.fetch_add(1)));
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)

@@ -27,7 +27,9 @@ namespace lf {
 std::string readFileText(const std::string &path, std::string &out);
 
 /** Write @p content to @p path atomically (temp file in the same
- *  directory, then rename). Creates parent directories.
+ *  directory, then rename). Creates parent directories. Concurrent
+ *  calls on one path, from threads or processes, each use their own
+ *  temp file; the last rename wins.
  *  @return an error message or the empty string. */
 std::string writeFileAtomic(const std::string &path,
                             const std::string &content);

@@ -101,4 +101,10 @@ trialKey(const ExperimentSpec &spec)
     return hashHex(fnv1a64(canonicalTrialText(spec)));
 }
 
+std::string
+cellKey(const ExperimentSpec &spec)
+{
+    return hashHex(fnv1a64(cellKeyOf(spec)));
+}
+
 } // namespace lf

@@ -14,9 +14,12 @@
  *
  * The **trial key** is the same idea at per-trial granularity: a
  * digest of one fully-expanded ExperimentSpec (seed and trial index
- * included), used as the content address of the result cache — equal
- * keys mean "this exact trial", because trials are pure functions of
- * their spec.
+ * included) that names one row of the result cache — equal keys mean
+ * "this exact trial", because trials are pure functions of their
+ * spec. The **cell key** digests the spec without seed and trial
+ * index (cellKeyOf(), the identity sweeps aggregate by) and names
+ * one result-cache entry, which holds all of that cell's stored
+ * trials.
  */
 
 #ifndef LF_CAMPAIGN_GRID_HASH_HH
@@ -51,10 +54,15 @@ std::string gridHash(const SweepSpec &spec);
  */
 std::string canonicalTrialText(const ExperimentSpec &spec);
 
-/** 16-hex-digit content address of one trial — the result-cache key:
- *  a pair of trials share a key iff they share the whole spec
+/** 16-hex-digit content address of one trial — a result-cache row
+ *  key: a pair of trials share a key iff they share the whole spec
  *  (seed included), in which case they share the result too. */
 std::string trialKey(const ExperimentSpec &spec);
+
+/** 16-hex-digit hash of cellKeyOf(@p spec) — the result-cache entry
+ *  key: every trial of one sweep cell, whatever its seed or trial
+ *  index, shares it. */
+std::string cellKey(const ExperimentSpec &spec);
 
 } // namespace lf
 

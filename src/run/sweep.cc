@@ -95,11 +95,8 @@ advance(const SweepSpec &spec, std::vector<std::size_t> &axis_pos)
     return false;
 }
 
-/** The per-cell identity of a result — its spec minus seed and trial
- *  index — serialized into one unambiguous lookup key. Field
- *  separators are control characters no label/channel name contains,
- *  and override values render round-trip-exact (jsonNumber), so two
- *  specs map to the same key iff they are the same cell. */
+} // namespace
+
 std::string
 cellKeyOf(const ExperimentSpec &spec)
 {
@@ -120,8 +117,6 @@ cellKeyOf(const ExperimentSpec &spec)
     }
     return key;
 }
-
-} // namespace
 
 std::size_t
 sweepCellCount(const SweepSpec &spec)

@@ -79,6 +79,17 @@ struct SweepShard
 std::size_t sweepCellCount(const SweepSpec &spec);
 
 /**
+ * The per-cell identity of a result — its spec minus seed and trial
+ * index — serialized into one unambiguous key. Field separators are
+ * control characters no label/channel name contains, and override
+ * values render round-trip-exact (jsonNumber), so two specs map to
+ * the same key iff they are the same cell. SweepAccumulator groups
+ * by it; the campaign result cache files one entry per cell under
+ * its hash (cellKey()).
+ */
+std::string cellKeyOf(const ExperimentSpec &spec);
+
+/**
  * Check the grid itself: non-empty dimensions, known channel/CPU/
  * override names, no duplicate or conflicting axis keys, sane trial
  * count. @return an error message or the empty string.

@@ -4,9 +4,10 @@
  * campaign merged through mergeCampaign() must be byte-identical to
  * the unsharded SweepAccumulator summary of the same SweepSpec —
  * including after a mid-shard kill and resume, and on a warm-cache
- * rerun where almost nothing executes. Also covers merge refusing
- * incomplete campaigns with an actionable diagnostic, and status
- * rendering.
+ * rerun where almost nothing executes. The result cache holds one
+ * entry per cell, and a killed shard still stores its partial cell.
+ * Also covers merge refusing incomplete campaigns with an actionable
+ * diagnostic, and status rendering.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "campaign/cache.hh"
 #include "campaign/campaign.hh"
 #include "campaign/files.hh"
 #include "campaign/grid_hash.hh"
@@ -76,6 +78,16 @@ runShardOrFail(const std::string &dir, int shard,
     const std::string error =
         runCampaignShard(dir, shard, options, stats);
     ASSERT_EQ(error, "") << "shard " << shard;
+}
+
+/** Number of cache entry files under @p root. */
+std::size_t
+countEntryFiles(const std::string &root)
+{
+    std::size_t files = 0;
+    for (const auto &entry : fs::recursive_directory_iterator(root))
+        files += entry.path().extension() == ".rec" ? 1 : 0;
+    return files;
 }
 
 std::string
@@ -155,12 +167,14 @@ TEST(CampaignEndToEnd, WarmCacheRerunIsByteIdentical)
     options.threads = 1;
     options.cacheDir = cacheDir;
 
-    // Cold pass populates the cache.
+    // Cold pass populates the cache: one entry file per cell.
     const std::string coldDir = root + "/cold";
-    ASSERT_EQ(planCampaign(sweep, kShards, coldDir), "");
+    CampaignManifest manifest;
+    ASSERT_EQ(planCampaign(sweep, kShards, coldDir, &manifest), "");
     for (int shard = 0; shard < kShards; ++shard)
         runShardOrFail(coldDir, shard, options);
     EXPECT_EQ(mergeOrFail(coldDir), reference);
+    EXPECT_EQ(countEntryFiles(cacheDir), manifest.cells);
 
     // Warm pass: fresh campaign dir, different shard count, same
     // grid — every row must come from the cache.
@@ -171,6 +185,53 @@ TEST(CampaignEndToEnd, WarmCacheRerunIsByteIdentical)
         runShardOrFail(warmDir, shard, options, &stats);
         EXPECT_EQ(stats.executed, 0u);
         EXPECT_EQ(stats.cacheHits, stats.totalRows);
+        EXPECT_EQ(stats.cacheHitRate(), 1.0);
+    }
+    EXPECT_EQ(mergeOrFail(warmDir), reference);
+}
+
+TEST(CampaignEndToEnd, CachedKillAndResumeStoresWholeCells)
+{
+    const SweepSpec sweep = testSweep();
+    const std::string reference = unshardedSummary(sweep);
+    const std::string root = scratchDir("cached_kill_resume");
+    const std::string cacheDir = root + "/cache";
+    const std::string coldDir = root + "/cold";
+    ASSERT_EQ(planCampaign(sweep, kShards, coldDir), "");
+
+    // Kill shard 1 after one row: the cut-short cell is flushed.
+    ShardRunOptions options;
+    options.threads = 1;
+    options.cacheDir = cacheDir;
+    ShardRunOptions killed = options;
+    killed.maxNewRows = 1;
+    runShardOrFail(coldDir, 1, killed);
+    const ResultCache cache(cacheDir);
+    const std::vector<ExperimentSpec> shardOne =
+        expandSweep(sweep, {1, kShards});
+    ResultCache::CellRows rows;
+    ASSERT_EQ(cache.loadCell(shardOne[0], rows), "");
+    EXPECT_EQ(rows.size(), 1u);
+
+    // Resume: every cell's entry then holds all of its trials.
+    for (int shard = 0; shard < kShards; ++shard)
+        runShardOrFail(coldDir, shard, options);
+    EXPECT_EQ(mergeOrFail(coldDir), reference);
+    const std::vector<ExperimentSpec> batch = expandSweep(sweep);
+    for (std::size_t row = 0; row < batch.size();
+         row += static_cast<std::size_t>(sweep.trials)) {
+        ASSERT_EQ(cache.loadCell(batch[row], rows), "");
+        EXPECT_EQ(rows.size(), static_cast<std::size_t>(sweep.trials))
+            << "cell of row " << row;
+    }
+
+    // A warm re-plan hits on every row and merges to the same bytes.
+    const std::string warmDir = root + "/warm";
+    ASSERT_EQ(planCampaign(sweep, 2, warmDir), "");
+    for (int shard = 0; shard < 2; ++shard) {
+        ShardRunStats stats;
+        runShardOrFail(warmDir, shard, options, &stats);
+        EXPECT_EQ(stats.executed, 0u);
         EXPECT_EQ(stats.cacheHitRate(), 1.0);
     }
     EXPECT_EQ(mergeOrFail(warmDir), reference);

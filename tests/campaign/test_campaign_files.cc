@@ -12,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "campaign/cache.hh"
 #include "campaign/campaign.hh"
@@ -90,6 +94,41 @@ sampleResult()
     return res;
 }
 
+/** Six trials of one cell: two seeds, three trial indices each, one
+ *  of them an error row and one skipped. */
+std::vector<ExperimentResult>
+cellTrials()
+{
+    std::vector<ExperimentResult> trials;
+    for (const std::uint64_t seed : {11ULL, 12ULL}) {
+        for (int trial = 0; trial < 3; ++trial) {
+            ExperimentResult res = sampleResult();
+            res.spec.seed = seed;
+            res.spec.trial = trial;
+            res.result.errorRate =
+                static_cast<double>(seed * 3 + trial) / 97.0;
+            res.result.transmissionKbps += trial;
+            trials.push_back(res);
+        }
+    }
+    trials[1].ok = false;
+    trials[1].error = "run guard tripped";
+    trials[4].skipped = true;
+    return trials;
+}
+
+/** A cache entry for @p spec's cell holding @p rows (lines without
+ *  their newline) in the given order, with a matching checksum. */
+std::string
+sealedEntry(const ExperimentSpec &spec,
+            const std::vector<std::string> &rows)
+{
+    std::string text = "lfcampaign-cache v2\ncell " + cellKey(spec) + "\n";
+    for (const std::string &row : rows)
+        text += row + "\n";
+    return text + "end " + hashHex(fnv1a64(text)) + "\n";
+}
+
 // ---- Grid hash ----
 
 TEST(GridHash, StableAndSensitive)
@@ -138,6 +177,27 @@ TEST(GridHash, TrialKeyCoversSeedAndOverrides)
     other = res.spec;
     other.trial = 8;
     EXPECT_NE(trialKey(other), key);
+}
+
+TEST(GridHash, CellKeyIgnoresOnlySeedAndTrial)
+{
+    const ExperimentSpec spec = sampleResult().spec;
+    const std::string key = cellKey(spec);
+    EXPECT_EQ(key.size(), 16u);
+
+    ExperimentSpec other = spec;
+    other.seed ^= 1;
+    other.trial = 8;
+    EXPECT_EQ(cellKey(other), key);
+    other = spec;
+    other.overrides["rounds"] = 11.0;
+    EXPECT_NE(cellKey(other), key);
+    other = spec;
+    other.label += "x";
+    EXPECT_NE(cellKey(other), key);
+    other = spec;
+    other.messageBits = 49;
+    EXPECT_NE(cellKey(other), key);
 }
 
 // ---- Record codec ----
@@ -497,17 +557,247 @@ TEST(ResultCacheTest, CorruptEntriesDiagnoseNotMiss)
     EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error; // path: reason
     EXPECT_NE(error.find("corrupt"), std::string::npos);
 
-    // An entry whose stored spec is a *different* trial (misfiled /
-    // bit rot): must refuse, not serve the wrong result.
+    // A row misfiled from another seed: its record is a different
+    // trial than the key it is filed under. The entry is otherwise
+    // well formed, checksum included, so only the content-address
+    // check stands between it and a wrong result.
     ExperimentResult other = res;
     other.spec.seed ^= 1;
-    std::string swapped =
-        std::string("lfcampaign-cache v1\nkey ") +
-        trialKey(res.spec) + "\nrow " +
-        encodeResultRecord(0, other) + "\nend\n";
-    writeAll(path, swapped);
+    writeAll(path, sealedEntry(res.spec,
+                               {"row " + trialKey(res.spec) + " " +
+                                encodeResultRecord(0, other)}));
     EXPECT_FALSE(cache.lookup(res.spec, back, error));
     EXPECT_NE(error.find("does not match"), std::string::npos);
+    EXPECT_NE(error.find("corrupt"), std::string::npos);
+
+    // A well-keyed row of another cell filed in this cell's entry.
+    other = res;
+    other.spec.overrides["rounds"] = 11.0;
+    writeAll(path, sealedEntry(res.spec,
+                               {"row " + trialKey(other.spec) + " " +
+                                encodeResultRecord(0, other)}));
+    EXPECT_FALSE(cache.lookup(res.spec, back, error));
+    EXPECT_NE(error.find("does not match the cell"), std::string::npos);
+}
+
+TEST(ResultCacheTest, OneEntryPerCellMergesDeterministically)
+{
+    const std::vector<ExperimentResult> trials = cellTrials();
+    const std::vector<ExperimentResult> seedA(trials.begin(),
+                                              trials.begin() + 3);
+    const std::vector<ExperimentResult> seedB(trials.begin() + 3,
+                                              trials.end());
+    const ResultCache cache(scratchDir("cache_merge"));
+    ASSERT_EQ(cache.storeCell(seedA), "");
+    ASSERT_EQ(cache.storeCell(seedB), "");
+    for (const ExperimentResult &want : trials) {
+        ExperimentResult back;
+        std::string error;
+        ASSERT_TRUE(cache.lookup(want.spec, back, error)) << error;
+        EXPECT_EQ(encodeResultRecord(0, back),
+                  encodeResultRecord(0, want));
+        EXPECT_EQ(cache.entryPath(want.spec),
+                  cache.entryPath(trials[0].spec));
+    }
+    ResultCache::CellRows rows;
+    ASSERT_EQ(cache.loadCell(trials[0].spec, rows), "");
+    EXPECT_EQ(rows.size(), trials.size());
+
+    // Rows sort by trial key: any store order gives the same bytes.
+    const ResultCache reversed(scratchDir("cache_merge_reversed"));
+    for (auto it = trials.rbegin(); it != trials.rend(); ++it)
+        ASSERT_EQ(reversed.store(it->spec, *it), "");
+    EXPECT_EQ(readAll(reversed.entryPath(trials[0].spec)),
+              readAll(cache.entryPath(trials[0].spec)));
+
+    // A new row of a stored trial replaces it; the others stay.
+    ExperimentResult updated = trials[1];
+    updated.result.errorRate = 0.5;
+    ASSERT_EQ(cache.storeCell({updated}), "");
+    ASSERT_EQ(cache.loadCell(trials[0].spec, rows), "");
+    EXPECT_EQ(rows.size(), trials.size());
+    EXPECT_EQ(rows.at(canonicalTrialText(updated.spec))
+                  .result.errorRate, 0.5);
+
+    // Trials of another cell, or a result stored under another
+    // trial's spec, are refused without touching the entry.
+    const std::string before = readAll(cache.entryPath(updated.spec));
+    ExperimentResult stranger = trials[0];
+    stranger.spec.overrides["rounds"] = 11.0;
+    EXPECT_NE(cache.storeCell({trials[0], stranger}), "");
+    EXPECT_NE(cache.store(trials[0].spec, trials[2]), "");
+    EXPECT_EQ(readAll(cache.entryPath(updated.spec)), before);
+}
+
+TEST(ResultCacheTest, OneTrialPerFileEntriesAreIgnored)
+{
+    // The older layout filed one trial per file under its trial key;
+    // the cell-keyed layout never opens those files.
+    const std::string root = scratchDir("cache_v1");
+    const ResultCache cache(root);
+    const ExperimentResult res = sampleResult();
+    const std::string key = trialKey(res.spec);
+    fs::create_directories(root + "/" + key.substr(0, 2));
+    writeAll(root + "/" + key.substr(0, 2) + "/" + key + ".rec",
+             "lfcampaign-cache v1\nkey " + key + "\nrow " +
+                 encodeResultRecord(0, res) + "\nend\n");
+    ExperimentResult back;
+    std::string error;
+    EXPECT_FALSE(cache.lookup(res.spec, back, error));
+    EXPECT_EQ(error, "");
+}
+
+TEST(ResultCacheTest, MutatedEntriesServeExactRowsOrDiagnose)
+{
+    const std::string root = scratchDir("cache_fuzz");
+    const ResultCache cache(root);
+    const std::vector<ExperimentResult> trials = cellTrials();
+    ASSERT_EQ(cache.storeCell(trials), "");
+    const std::string path = cache.entryPath(trials[0].spec);
+    const std::string pristine = readAll(path);
+
+    std::vector<std::string> lines; // Newline-terminated.
+    for (std::size_t at = 0; at < pristine.size();) {
+        const std::size_t end = pristine.find('\n', at) + 1;
+        lines.push_back(pristine.substr(at, end - at));
+        at = end;
+    }
+    ASSERT_EQ(lines.size(), trials.size() + 3);
+    const auto join = [](const std::vector<std::string> &parts) {
+        std::string out;
+        for (const std::string &part : parts)
+            out += part;
+        return out;
+    };
+
+    std::vector<std::string> mutants;
+    // Truncation at every line boundary and inside every line.
+    std::size_t at = 0;
+    for (const std::string &line : lines) {
+        mutants.push_back(pristine.substr(0, at));
+        mutants.push_back(pristine.substr(0, at + line.size() / 2));
+        mutants.push_back(pristine.substr(0, at + line.size() - 1));
+        at += line.size();
+    }
+    // Byte flips at fixed-seed positions.
+    std::mt19937_64 rng(0x6c66636163686531ULL);
+    for (int flip = 0; flip < 400; ++flip) {
+        std::string mutant = pristine;
+        mutant[rng() % mutant.size()] ^=
+            static_cast<char>(1 + rng() % 255);
+        mutants.push_back(mutant);
+    }
+    // Row lines duplicated, swapped with the next, and dropped.
+    const std::size_t firstRow = 2;
+    const std::size_t lastRow = lines.size() - 2;
+    for (std::size_t row = firstRow; row <= lastRow; ++row) {
+        std::vector<std::string> edited = lines;
+        edited.insert(edited.begin() + row, lines[row]);
+        mutants.push_back(join(edited));
+        if (row < lastRow) {
+            edited = lines;
+            std::swap(edited[row], edited[row + 1]);
+            mutants.push_back(join(edited));
+        }
+        edited = lines;
+        edited.erase(edited.begin() + row);
+        mutants.push_back(join(edited));
+    }
+
+    std::size_t diagnosed = 0;
+    for (const std::string &mutant : mutants) {
+        ASSERT_NE(mutant, pristine);
+        writeAll(path, mutant);
+        for (const ExperimentResult &want : trials) {
+            ExperimentResult back;
+            std::string error;
+            if (cache.lookup(want.spec, back, error)) {
+                EXPECT_EQ(encodeResultRecord(0, back),
+                          encodeResultRecord(0, want))
+                    << "served another row from:\n" << mutant;
+                continue;
+            }
+            ASSERT_NE(error, "") << "damage read as a miss:\n" << mutant;
+            EXPECT_EQ(error.rfind(path + ": ", 0), 0u) << error;
+            EXPECT_NE(error.find("corrupt"), std::string::npos) << error;
+            ++diagnosed;
+        }
+    }
+    EXPECT_GT(diagnosed, 0u);
+
+    // Behind the checksum, the row checks hold on their own: row edits
+    // that re-seal the checksum are still refused, except a dropped
+    // row, which leaves a smaller but sound entry.
+    const std::vector<std::string> rowLines(lines.begin() + firstRow,
+                                            lines.begin() + lastRow + 1);
+    const auto strip = [](std::vector<std::string> parts) {
+        for (std::string &part : parts)
+            part.pop_back();
+        return parts;
+    };
+    std::vector<std::string> edited = rowLines;
+    edited.push_back(rowLines.back());
+    writeAll(path, sealedEntry(trials[0].spec, strip(edited)));
+    ExperimentResult back;
+    std::string error;
+    EXPECT_FALSE(cache.lookup(trials[0].spec, back, error));
+    EXPECT_NE(error.find("order"), std::string::npos) << error;
+    edited = rowLines;
+    std::swap(edited[0], edited[1]);
+    writeAll(path, sealedEntry(trials[0].spec, strip(edited)));
+    EXPECT_FALSE(cache.lookup(trials[0].spec, back, error));
+    EXPECT_NE(error.find("order"), std::string::npos) << error;
+    edited = rowLines;
+    edited.erase(edited.begin());
+    writeAll(path, sealedEntry(trials[0].spec, strip(edited)));
+    std::size_t misses = 0;
+    for (const ExperimentResult &want : trials) {
+        if (cache.lookup(want.spec, back, error)) {
+            EXPECT_EQ(encodeResultRecord(0, back),
+                      encodeResultRecord(0, want));
+        } else {
+            EXPECT_EQ(error, "");
+            ++misses;
+        }
+    }
+    EXPECT_EQ(misses, 1u);
+}
+
+// ---- Atomic writes ----
+
+TEST(AtomicWrite, ConcurrentWritersOfOnePathNeverCollide)
+{
+    const std::string dir = scratchDir("atomic_race");
+    const std::string path = dir + "/entry.rec";
+    const std::string bodies[2] = {std::string(4000, 'a') + "\n",
+                                   std::string(3000, 'b') + "\n"};
+    ASSERT_EQ(writeFileAtomic(path, bodies[0]), "");
+    std::atomic<int> errors{0};
+    std::atomic<int> torn{0};
+    const auto writer = [&](int which) {
+        for (int i = 0; i < 300; ++i) {
+            if (!writeFileAtomic(path, bodies[which]).empty())
+                ++errors;
+            std::string text;
+            if (!readFileText(path, text).empty() ||
+                (text != bodies[0] && text != bodies[1])) {
+                ++torn;
+            }
+        }
+    };
+    std::thread first(writer, 0);
+    std::thread second(writer, 1);
+    first.join();
+    second.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(torn.load(), 0);
+    // No temporary file is left behind.
+    std::size_t files = 0;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        (void)entry;
+        ++files;
+    }
+    EXPECT_EQ(files, 1u);
 }
 
 } // namespace

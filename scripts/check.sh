@@ -33,7 +33,7 @@ cmake --build build-asan -j "${JOBS}" \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_sim_test_snapshot lf_sim_test_period_skip \
              lf_sim_test_slot_graph lf_fingerprint_test_fingerprint \
-             lf_run lf_campaign table_defenses campaign_overhead
+             lf_run lf_campaign table_defenses campaign_overhead lf_repro
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
@@ -129,6 +129,9 @@ cmp build-asan/sweep-smoke.json build-asan/sweep-smoke-t1.json
 
 echo "== ASan/UBSan: defense-grid smoke test =="
 (cd build-asan && ./table_defenses --smoke > /dev/null)
+
+echo "== ASan/UBSan: paper channel-table claims (lf_repro) =="
+(cd build-asan && ./lf_repro > /dev/null)
 
 echo "== ASan/UBSan: campaign smoke (plan / kill / resume / merge) =="
 # A 4-shard campaign over a small grid: shard 0 is killed after one

@@ -4,6 +4,7 @@
 #include <system_error>
 
 #include "campaign/files.hh"
+#include "campaign/grid_hash.hh"
 #include "campaign/record.hh"
 #include "run/cli.hh"
 
@@ -11,7 +12,9 @@ namespace lf {
 
 namespace {
 
-constexpr const char *kResultsMagic = "lfcampaign-results v1";
+constexpr const char *kResultsMagic = "lfcampaign-results v2";
+/** Separates a results row from the FNV-1a checksum of its text. */
+constexpr const char *kRowSum = " sum=";
 constexpr const char *kCheckpointMagic = "lfcampaign-checkpoint v1";
 
 std::string
@@ -104,10 +107,16 @@ loadShardResults(const std::string &path, const std::string &gridHash,
             }
             if (line.compare(0, 4, "row ") != 0)
                 return fail("expected a \"row\" line");
+            const std::size_t sum = line.rfind(kRowSum);
+            if (sum == std::string::npos ||
+                line.substr(sum + std::string(kRowSum).size()) !=
+                    hashHex(fnv1a64(line.substr(0, sum)))) {
+                return fail("row checksum mismatch");
+            }
             std::size_t index = 0;
             ExperimentResult res;
             const std::string bad =
-                decodeResultRecord(line.substr(4), index, res);
+                decodeResultRecord(line.substr(4, sum - 4), index, res);
             if (!bad.empty())
                 return fail(bad);
             if (index >= totalRows) {
@@ -266,7 +275,8 @@ ShardLogWriter::append(std::size_t index, const ExperimentResult &res)
     // Row first, flushed, *then* the checkpoint line: a kill between
     // the two leaves a row without `done`, which resume heals; the
     // reverse order could checkpoint a row that never landed.
-    results_ << "row " << encodeResultRecord(index, res) << "\n";
+    const std::string row = "row " + encodeResultRecord(index, res);
+    results_ << row << kRowSum << hashHex(fnv1a64(row)) << "\n";
     results_.flush();
     if (!results_.good())
         return resultsPath_ + ": write failed";

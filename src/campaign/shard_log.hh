@@ -7,10 +7,11 @@
  * and the shard's i/n selector (so state can never be replayed into a
  * different campaign or shard):
  *
- *   shard-<i>.results     "row <record>" lines — one encoded
- *                         ExperimentResult per completed trial, in
- *                         completion order, each carrying its global
- *                         row index (see record.hh);
+ *   shard-<i>.results     "row <record> sum=<checksum>" lines — one
+ *                         encoded ExperimentResult per completed
+ *                         trial, in completion order, each carrying
+ *                         its global row index (see record.hh) and
+ *                         the FNV-1a hash of the text before " sum=";
  *   shard-<i>.checkpoint  "done <index>" lines — appended *after* the
  *                         row is durably in the results file.
  *
@@ -59,9 +60,10 @@ std::string shardCheckpointPath(const std::string &dir, int shard);
 
 /**
  * Load the results file at @p path (it must exist). Validates the
- * header against @p gridHash / @p shard, decodes every terminated row
- * line strictly, rejects duplicate and out-of-range (>= @p totalRows)
- * indices, and drops an unterminated trailing line.
+ * header against @p gridHash / @p shard, checks every terminated row
+ * line's checksum and decodes it strictly, rejects duplicate and
+ * out-of-range (>= @p totalRows) indices, and drops an unterminated
+ * trailing line.
  * @return an error message ("path: line N: reason") or "".
  */
 std::string loadShardResults(const std::string &path,

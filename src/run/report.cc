@@ -2,10 +2,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "common/table.hh"
 #include "run/sinks.hh"
 
 namespace lf {
@@ -33,12 +31,6 @@ banner(const char *title)
     std::printf("==============================================\n");
     std::printf("%s\n", title);
     std::printf("==============================================\n");
-}
-
-std::string
-cmpCell(double sim, const char *paper)
-{
-    return formatFixed(sim, 2) + " (paper " + paper + ")";
 }
 
 int

@@ -1,14 +1,8 @@
 /**
  * @file
- * Small reporting helpers shared by the bench binaries.
- *
- * Every bench prints simulated values next to the numbers the paper
- * reports for the same cell, so the *shape* agreement (who wins, rough
- * factors, orderings) can be checked at a glance; absolute agreement
- * is not expected of a calibrated simulator. The result-batch plumbing
- * itself lives in sweep.hh/sinks.hh — this header is only the shared
- * console dressing, replacing the per-bench copies that used to live
- * in bench/bench_util.hh.
+ * Small reporting helpers shared by the bench binaries: a section
+ * banner, a PASS/FAIL shape-check line, and a JSON writer for named
+ * metrics. The result-batch plumbing lives in sweep.hh/sinks.hh.
  */
 
 #ifndef LF_RUN_REPORT_HH
@@ -23,9 +17,6 @@ namespace bench {
 
 /** Section banner on stdout. */
 void banner(const char *title);
-
-/** "X.XX (paper Y)" cell for sim-vs-paper tables. */
-std::string cmpCell(double sim, const char *paper);
 
 /** Print "Shape check (<what>): PASS|FAIL" and return the bench exit
  *  code (0 on pass, 1 on fail). */

@@ -503,6 +503,48 @@ TEST_F(ShardLogTest, CheckpointWithoutResultIsCorruption)
               std::string::npos);
 }
 
+TEST_F(ShardLogTest, EditedOrFlippedRowsFailTheirChecksum)
+{
+    writeRows(3);
+    const std::string path = shardResultsPath(dir_, 0);
+    const std::string pristine = readAll(path);
+    const auto load = [&](const std::string &text) {
+        writeAll(path, text);
+        ShardLogState state;
+        return loadShardLog(dir_, 0, manifest_.gridHash, 2,
+                            manifest_.rows, state);
+    };
+    ASSERT_EQ(load(pristine), "");
+
+    // An edited outcome field that still decodes as a record.
+    std::string edited = pristine;
+    const std::size_t errorRate = edited.find("error_rate=0");
+    ASSERT_NE(errorRate, std::string::npos);
+    edited[errorRate + std::string("error_rate=").size()] = '5';
+    EXPECT_EQ(load(edited), path + ": line 2: row checksum mismatch");
+
+    // Byte flips at fixed-seed positions inside the row lines.
+    const std::size_t rowsBegin = pristine.find('\n') + 1;
+    std::mt19937_64 rng(0x6c6673686172646cULL);
+    for (int flip = 0; flip < 300; ++flip) {
+        std::size_t at = 0;
+        do {
+            at = rowsBegin + rng() % (pristine.size() - rowsBegin);
+        } while (pristine[at] == '\n');
+        std::string mutant = pristine;
+        mutant[at] ^= static_cast<char>(1 + rng() % 255);
+        const std::string error = load(mutant);
+        EXPECT_EQ(error.rfind(path + ": line ", 0), 0u)
+            << "flip at byte " << at << ": \"" << error << "\"";
+    }
+
+    // A results file of the previous format is refused, not misread.
+    std::string v1 = pristine;
+    v1[pristine.find(" v2") + 2] = '1';
+    EXPECT_NE(load(v1).find("not a lfcampaign-results v2 file"),
+              std::string::npos);
+}
+
 // ---- Cache ----
 
 TEST(ResultCacheTest, StoreLookupRoundTrip)

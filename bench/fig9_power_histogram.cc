@@ -17,6 +17,7 @@
 #include "sim/core.hh"
 #include "sim/cpu_model.hh"
 #include "sim/executor.hh"
+#include "sim/period_skip.hh"
 
 using namespace lf;
 
@@ -36,10 +37,15 @@ powerSamples(const CpuModel &model, int blocks, std::uint64_t seed)
     // Sample average power over RAPL update windows.
     Histogram hist(40.0, 80.0, 80);
     const Cycles window = 150000;
+    std::vector<Cycles> none;
     for (int s = 0; s < 400; ++s) {
         const MicroJoules e0 = core.readRapl();
         const Cycles c0 = core.cycle();
-        runLoopIters(core, 0, chain, window / 10);
+        // One loop iteration per round, so whole repeating periods
+        // of the window are skipped (sim/period_skip.hh).
+        runRounds(core, window / 10, none, [&](std::vector<Cycles> &) {
+            runLoopIters(core, 0, chain, 1);
+        });
         const MicroJoules e1 = core.readRapl();
         const double seconds =
             core.secondsOf(static_cast<double>(core.cycle() - c0));

@@ -33,6 +33,7 @@ cmake --build build-asan -j "${JOBS}" \
              lf_campaign_test_campaign lf_campaign_test_campaign_files \
              lf_sim_test_snapshot lf_sim_test_period_skip \
              lf_sim_test_slot_graph lf_fingerprint_test_fingerprint \
+             lf_sgx_test_sgx \
              lf_run lf_campaign table_defenses campaign_overhead lf_repro
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
@@ -40,6 +41,7 @@ cmake --build build-asan -j "${JOBS}" \
 ./build-asan/lf_sim_test_snapshot
 ./build-asan/lf_sim_test_period_skip
 ./build-asan/lf_sim_test_slot_graph
+./build-asan/lf_sgx_test_sgx
 ./build-asan/lf_fingerprint_test_fingerprint
 ./build-asan/lf_run_test_hooks
 ./build-asan/lf_obs_test_obs

@@ -132,14 +132,22 @@ CovertChannel::observeSlot(TrialContext &ctx, bool bit, SlotWalk &walk)
     // quanta, index re-salting) and pads the machine's raw
     // observable, and the environment then degrades the measurement
     // (window stretch, timer/meter noise). With a quiet environment
-    // and an inactive defense every hook is an exact no-op.
+    // and an inactive defense every hook is an exact no-op. The
+    // channel's own edge work (enclave entry and exit) runs plainly
+    // around the replayable machine work, keeping its jitter draws
+    // in place around the pass noise.
     Environment &env = ctx.environment();
     Defense &defense = ctx.defense();
     env.beginSlot(core_);
     defense.beginSlot(core_);
+    const bool edges = hasSlotEdges(bit);
+    if (edges)
+        walk.plain([&] { enterSlot(bit); });
     SlotRaw raw;
     walk.slot(bit, raw.cycles, [&] { transmitBit(bit, raw); });
     const double measured = measure(raw);
+    if (edges)
+        walk.plain([&] { leaveSlot(bit); });
     if (observableIsPower())
         return env.perturbPower(defense.filterPower(measured));
     return env.perturbTiming(defense.filterTiming(measured));

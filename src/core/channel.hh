@@ -128,10 +128,22 @@ class CovertChannel
      * Decode on the core and write the raw observable into @p raw
      * (true cycles for timing channels, microjoules per round for
      * power channels). Draws nothing from the core's Rng except
-     * where the hardware itself is random (RAPL meter noise, enclave
-     * entry jitter).
+     * where the hardware itself is random (RAPL meter noise, the
+     * enclave transitions of the SGX non-MT channels).
      */
     virtual void transmitBit(bool bit, SlotRaw &raw) = 0;
+
+    /** True when a slot on @p bit has work at its edges: enterSlot()
+     *  before transmitBit() and leaveSlot() after measure(). Edge work
+     *  may draw, so it always runs on the live core, never replayed
+     *  (SlotWalk::plain()). */
+    virtual bool hasSlotEdges(bool bit) const
+    {
+        (void)bit;
+        return false;
+    }
+    virtual void enterSlot(bool bit) { (void)bit; }
+    virtual void leaveSlot(bool bit) { (void)bit; }
 
     /**
      * The receiver's measurement of @p raw, after the machine work:
@@ -145,10 +157,11 @@ class CovertChannel
      *  cycles — selects which Environment perturbation applies. */
     virtual bool observableIsPower() const { return false; }
 
-    /** True when a slot's machine work is a pure function of the
-     *  core's canonical state and the bit, so the slot graph
-     *  (sim/slot_graph.hh) may replay it. Channels that read RAPL or
-     *  enter enclaves say no. */
+    /** True when a slot's machine work (transmitBit(), not its edge
+     *  work) is a pure function of the core's canonical state and the
+     *  bit, so the slot graph (sim/slot_graph.hh) may replay it.
+     *  Channels that read RAPL or time an enclave call from outside
+     *  say no. */
     virtual bool replaysSlots() const { return false; }
 
     /** Called once before a transmission (build programs, warm up). */

@@ -29,7 +29,7 @@ SgxNonMtChannelBase::transmitBit(bool bit, SlotRaw &raw)
 {
     const Cycles start = core_.cycle();
     chargeMeasurementOverhead();           // receiver starts the timer
-    core_.enclaveTransition(kThread);      // single enclave entry
+    core_.enclaveEntry(kThread);           // single enclave entry
 
     // Inside the enclave: init once, then many interleaved
     // encode/decode rounds. No per-round sync is needed — sender and
@@ -38,7 +38,7 @@ SgxNonMtChannelBase::transmitBit(bool bit, SlotRaw &raw)
                           *encodeOne_, encodeZero_.get());
     core_.clearProgram(kThread);
 
-    core_.enclaveTransition(kThread);      // single enclave exit
+    core_.enclaveExit(kThread);            // single enclave exit
     chargeMeasurementOverhead();           // receiver stops the timer
     raw.cycles.push_back(core_.cycle() - start);
 }
@@ -124,26 +124,31 @@ SgxMtChannelBase::SgxMtChannelBase(Core &core,
               core.model().name.c_str());
 }
 
+bool
+SgxMtChannelBase::hasSlotEdges(bool bit) const
+{
+    return bit;
+}
+
+void
+SgxMtChannelBase::enterSlot(bool)
+{
+    // The enclave (sender) is entered once per 1 on the sibling
+    // hardware thread.
+    core_.enclaveEntry(kSender);
+}
+
 void
 SgxMtChannelBase::transmitBit(bool bit, SlotRaw &raw)
 {
-    // The enclave (sender) is entered once per bit on the sibling
-    // hardware thread.
-    if (bit)
-        core_.enclaveTransition(kSender);
-    inEnclave_ = bit;
     runMtSteps(bit, sgxCfg_.mtSteps, sgxCfg_.mtMeasPerStep, *receiver_,
                *encodeOne_, raw.cycles);
 }
 
-double
-SgxMtChannelBase::measure(const SlotRaw &raw)
+void
+SgxMtChannelBase::leaveSlot(bool)
 {
-    const double mean = CovertChannel::measure(raw);
-    if (inEnclave_)
-        core_.enclaveTransition(kSender);
-    inEnclave_ = false;
-    return mean;
+    core_.enclaveExit(kSender);
 }
 
 SgxMtEvictionChannel::SgxMtEvictionChannel(Core &core,

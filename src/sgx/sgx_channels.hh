@@ -16,6 +16,12 @@
  * MT SGX: the sender thread stays resident inside the enclave on the
  * sibling hardware thread; the receiver measures its own loop timing
  * exactly like the non-SGX MT channels.
+ *
+ * Entries cost model sgx.entryCycles and exits sgx.exitCycles, each
+ * plus one jitter draw. The non-MT windows include both, so their
+ * slots never replay; the MT channels run the transitions as slot
+ * edge work and replay the MT steps between them
+ * (sim/slot_graph.hh).
  */
 
 #ifndef LF_SGX_SGX_CHANNELS_HH
@@ -40,7 +46,9 @@ struct SgxConfig
     int mtMeasPerStep = 20;
 };
 
-/** Common machinery for the two non-MT SGX channels. */
+/** Common machinery for the two non-MT SGX channels. Their slots
+ *  never replay: the timed window includes the jittery entry and
+ *  exit. */
 class SgxNonMtChannelBase : public CovertChannel
 {
   public:
@@ -78,26 +86,30 @@ class SgxNonMtMisalignmentChannel : public SgxNonMtChannelBase
     void setup() override;
 };
 
-/** MT SGX channels: the enclave-resident sender perturbs the shared
- *  frontend; entry happens once per bit. */
+/**
+ * MT SGX channels: the enclave-resident sender perturbs the shared
+ * frontend. A slot on a 1 enters the enclave at its start and exits
+ * after the receiver's timer reads, so the entry/exit jitter draws
+ * keep their place around the pass noise in the core's Rng stream.
+ * Entry and exit are the slot's edge work and always run; the MT
+ * steps between them draw nothing and replay from the slot graph.
+ */
 class SgxMtChannelBase : public CovertChannel
 {
   public:
     SgxMtChannelBase(Core &core, const ChannelConfig &config,
                      const SgxConfig &sgx_config);
 
-    /** Enters the enclave (for a 1) and runs the MT steps; measure()
-     *  exits it after the receiver's timer reads, so the entry/exit
-     *  jitter draws keep their place around the pass noise in the
-     *  core's Rng stream. */
+    bool hasSlotEdges(bool bit) const override;
+    void enterSlot(bool bit) override;
     void transmitBit(bool bit, SlotRaw &raw) override;
-    double measure(const SlotRaw &raw) override;
+    void leaveSlot(bool bit) override;
+    bool replaysSlots() const override { return true; }
 
   protected:
     static constexpr ThreadId kSender = 1;
 
     SgxConfig sgxCfg_;
-    bool inEnclave_ = false;
     PreparedChainPtr receiver_;
     PreparedChainPtr encodeOne_;
 };

@@ -708,13 +708,25 @@ Core::readRapl()
 }
 
 void
-Core::enclaveTransition(ThreadId tid)
+Core::enclaveEntry(ThreadId tid)
+{
+    enclaveTransition(tid, model_.sgx.entryCycles);
+}
+
+void
+Core::enclaveExit(ThreadId tid)
+{
+    enclaveTransition(tid, model_.sgx.exitCycles);
+}
+
+void
+Core::enclaveTransition(ThreadId tid, Cycles cycles)
 {
     // Zero jitter draws nothing (same contract as noisyMeasurement).
     const double jitter = model_.sgx.entryJitterStddev != 0.0
         ? rng_.gaussian(0.0, model_.sgx.entryJitterStddev)
         : 0.0;
-    double cost = static_cast<double>(model_.sgx.entryCycles) + jitter;
+    double cost = static_cast<double>(cycles) + jitter;
     if (cost < 0.0)
         cost = 0.0;
     engine_.flushThreadFrontend(tid);

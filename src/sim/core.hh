@@ -147,9 +147,12 @@ class Core
 
     /** @name SGX (used by the sgx module) */
     /// @{
-    /** Charge an enclave entry/exit: advances time and flushes the
-     *  thread's pipeline-local frontend state. */
-    void enclaveTransition(ThreadId tid);
+    /** Charge an enclave entry (model sgx.entryCycles) or exit
+     *  (sgx.exitCycles), each plus one draw of the entry/exit jitter:
+     *  advances time and flushes the thread's pipeline-local frontend
+     *  state. */
+    void enclaveEntry(ThreadId tid);
+    void enclaveExit(ThreadId tid);
     /// @}
 
     /** Retired instructions of @p tid so far. */
@@ -247,6 +250,8 @@ class Core
     void visitState(V &v);
     void syncRaplEnergy();
     void refreshPartitionState();
+    /** enclaveEntry()/enclaveExit() at a base cost of @p cycles. */
+    void enclaveTransition(ThreadId tid, Cycles cycles);
 
     bool staticPartition_ = false;
     std::function<void(Core &)> domainSwitchHook_;

@@ -54,6 +54,7 @@ struct SgxParams
     bool supported = false;
     Cycles entryCycles = 3200;
     Cycles exitCycles = 3200;
+    /** Gaussian jitter of every entry and every exit. */
     double entryJitterStddev = 350.0;
 };
 

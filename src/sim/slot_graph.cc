@@ -210,6 +210,14 @@ SlotWalk::slot(bool bit, std::vector<Cycles> &records,
 }
 
 void
+SlotWalk::plain(const std::function<void()> &work)
+{
+    sync();
+    work();
+    node_ = -1;
+}
+
+void
 SlotWalk::sync()
 {
     if (live_)

@@ -28,9 +28,15 @@
  * left it. The core is brought up to date (sync(): the node's key and
  * the running counters, through Core::loadCanonicalKey()) only where
  * something reads it: before a slot on an
- * unknown edge is simulated, and at the end of the phase, before
- * counters, snapshots or hooks look at the core. A simulated slot
- * becomes a new edge when it drew nothing.
+ * unknown edge is simulated, before work at a slot's edge, and at the
+ * end of the phase, before counters, snapshots or hooks look at the
+ * core. A simulated slot becomes a new edge when it drew nothing.
+ *
+ * Work at a slot's edge that draws (the SGX MT channels' jittered
+ * enclave entry before a 1 and exit after it) never replays:
+ * SlotWalk::plain() runs it on the synced core and forgets the walked
+ * node, so the next slot looks its start state up again. The slot's
+ * machine work between the two edges still replays.
  *
  * Exactness rules:
  *  - Equal canonical keys mean equal behaviour from there on, so a
@@ -45,7 +51,8 @@
  *  - The caller bypasses the graph for any slot whose start touches
  *    the core or draws (Environment/Defense::slotActsOnCore()), while
  *    a domain-switch hook is installed (Core::periodSkipAllowed()),
- *    and for channels whose slots read RAPL or enter enclaves.
+ *    and for channels whose slot work reads RAPL or times a whole
+ *    enclave call (power, SGX non-MT).
  *  - A recorded slot that drew from an Rng disables the graph for
  *    the cell.
  *  - Node keys hold pointers into PreparedChains; the graph pins
@@ -176,6 +183,13 @@ class SlotWalk
      */
     void slot(bool bit, std::vector<Cycles> &records,
               const std::function<void()> &work);
+
+    /**
+     * Work at a slot's edge that is never replayed (it may draw): sync
+     * the core, run @p work on it and forget the walked node, so the
+     * next slot looks its start state up again.
+     */
+    void plain(const std::function<void()> &work);
 
     /** Bring the core to the walked state; a no-op when it is there. */
     void sync();

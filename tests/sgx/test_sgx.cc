@@ -115,6 +115,37 @@ TEST(SgxMtChannels, MisalignmentWorksOnSmtSgxMachines)
     }
 }
 
+TEST(SgxChannels, ExitChargesTheExitCycles)
+{
+    // No jitter and a quiet model: an exit that costs nothing makes
+    // every timed enclave call exactly one default exit shorter.
+    const Cycles exit_cycles = xeonE2174G().sgx.exitCycles;
+    ASSERT_EQ(exit_cycles, 3200u);
+    std::vector<std::vector<Cycles>> windows;
+    for (const Cycles exit : {exit_cycles, Cycles{0}}) {
+        CpuModel model = xeonE2174G();
+        model.noise.stddevCycles = 0.0;
+        model.noise.spikeProb = 0.0;
+        model.noise.jitterPerKcycle = 0.0;
+        model.sgx.entryJitterStddev = 0.0;
+        model.sgx.exitCycles = exit;
+        TrialContext ctx(model, 46);
+        ChannelConfig cfg;
+        cfg.d = 6;
+        SgxNonMtEvictionChannel channel(ctx.core(), cfg, fastSgx());
+        channel.prepareMachine(ctx);
+        windows.emplace_back();
+        for (const bool bit : message(8)) {
+            SlotRaw raw;
+            channel.transmitBit(bit, raw);
+            ASSERT_EQ(raw.cycles.size(), 1u);
+            windows.back().push_back(raw.cycles[0]);
+        }
+    }
+    for (std::size_t i = 0; i < windows[0].size(); ++i)
+        EXPECT_EQ(windows[0][i] - windows[1][i], exit_cycles) << i;
+}
+
 TEST(SgxChannels, RequireSgxSupport)
 {
     Core core(gold6226()); // no SGX on the Gold 6226

@@ -116,7 +116,7 @@ TEST(Core, EnclaveTransitionAdvancesTimeAndFlushes)
     core.setProgram(0, &loop.program);
     runLoopIters(core, 0, loop, 10);
     const Cycles before = core.cycle();
-    core.enclaveTransition(0);
+    core.enclaveEntry(0);
     EXPECT_GT(core.cycle() - before, 1000u);
     EXPECT_EQ(core.frontend().idqOccupancy(0), 0);
 }

@@ -8,9 +8,12 @@
  *    behaves the same (the revisit-at-an-earlier-cycle case), and
  *    whole trials that revisit recorded states earlier end with the
  *    same key, counters and cycle as plain simulation;
+ *  - work run plainly at a slot's edge (SlotWalk::plain()) after a
+ *    replayed slot sees, and leaves, the core plain simulation would;
  *  - graph on and off give the same sink bytes and per-trial machine
  *    counters registry-wide, quiet and noisy, at 1, 4 and 8 threads;
- *  - power, SGX and flush-on-switch cells never replay.
+ *  - power, SGX non-MT and flush-on-switch cells never replay, and
+ *    SGX MT cells do.
  */
 
 #include <gtest/gtest.h>
@@ -39,13 +42,27 @@ const std::map<std::string, double> kQuiet = {
     {"model.raplNoiseStddevMicroJoules", 0},
 };
 
-/** Channels whose slots may replay: non-MT, MT and slow-switch. */
+bool
+isSgxMt(const std::string &channel)
+{
+    return channel.rfind("sgx-mt-", 0) == 0;
+}
+
+/** Channels whose slots never replay: power, SGX non-MT. */
+bool
+neverReplays(const std::string &channel)
+{
+    return channel.rfind("power-", 0) == 0 ||
+        channel.rfind("sgx-nonmt-", 0) == 0;
+}
+
+/** Channels whose slots may replay: non-MT, MT, slow-switch, SGX MT. */
 std::vector<std::string>
 replayingChannels()
 {
     std::vector<std::string> names;
     for (const std::string &name : allChannelNames()) {
-        if (name.rfind("power-", 0) != 0 && name.rfind("sgx-", 0) != 0)
+        if (!neverReplays(name))
             names.push_back(name);
     }
     return names;
@@ -63,6 +80,7 @@ specFor(const std::string &channel, const std::string &cpu,
     spec.pattern = MessagePattern::Random;
     spec.overrides = kQuiet;
     spec.overrides["sgxRounds"] = 300;
+    spec.overrides["sgxMtSteps"] = 40;
     spec.overrides["powerRounds"] = 600;
     return spec;
 }
@@ -86,9 +104,14 @@ countersOf(const Core &core)
 TEST(SlotGraph, EveryStoredEdgeReproducesFromItsNode)
 {
     std::size_t edges = 0;
+    std::size_t sgx_mt_edges = 0;
     for (const std::string &channel : replayingChannels()) {
         for (const char *cpu : {"Gold 6226", "E-2174G"}) {
-            const ExperimentSpec base = specFor(channel, cpu, 31);
+            ExperimentSpec base = specFor(channel, cpu, 31);
+            // SGX MT edges are learned between jittered enclave
+            // entries and exits.
+            if (isSgxMt(channel))
+                base.overrides.erase("model.sgxEntryJitterStddev");
             TrialContext ctx;
             for (const ExperimentSpec &spec : expandTrials(base, 3)) {
                 const ExperimentResult res = runExperiment(spec, ctx);
@@ -134,11 +157,13 @@ TEST(SlotGraph, EveryStoredEdgeReproducesFromItsNode)
                         delta[i] -= before[i];
                     EXPECT_EQ(delta, edge.counterDelta) << what;
                     ++edges;
+                    sgx_mt_edges += isSgxMt(channel) ? 1 : 0;
                 }
             }
         }
     }
     EXPECT_GT(edges, 40u);
+    EXPECT_GT(sgx_mt_edges, 0u);
 }
 
 TEST(SlotGraph, KeyLoadedAtEarlierClocksKeepsKeyAndBehaviour)
@@ -255,8 +280,59 @@ TEST(SlotGraph, EarlierRevisitMatchesPlainSimulation)
     }
 }
 
-/** Every channel on an SMT server and an SGX-less desktop part, three
- *  trials a cell, random messages: quiet (default quiet model) or
+TEST(SlotGraph, PlainWorkAfterAReplayedSlotMatchesPlainSimulation)
+{
+    // A slot is two chains on thread 0; every third slot is followed
+    // by edge work that draws (a jittered enclave entry on thread 1),
+    // the way an SGX MT slot ends. One core walks the graph, the
+    // other simulates everything.
+    const CpuModel &model = *findCpuModel("E-2174G");
+    ASSERT_NE(model.sgx.entryJitterStddev, 0.0);
+    const auto chain = [&](Addr base, int first, int ways) {
+        return prepareMixBlockChain(base, 20, waySpan(first, ways, false),
+                                    model.frontend.dsbLineUops);
+    };
+    const PreparedChainPtr loop = chain(0x400000, 0, 6);
+    const PreparedChainPtr other = chain(0x800000, 6, 3);
+    const auto work = [&](Core &core, bool bit,
+                          std::vector<Cycles> &records) {
+        const PreparedChain &encode = bit ? *other : *loop;
+        core.setProgram(0, encode);
+        records.push_back(runLoopIters(core, 0, encode, 3));
+        core.setProgram(0, *loop);
+        records.push_back(runLoopIters(core, 0, *loop, 2));
+    };
+    const auto edge = [](Core &core) { core.enclaveEntry(1); };
+
+    Core plain(model, 5);
+    Core walked(model, 5);
+    SlotGraph graph;
+    SlotTally tally;
+    SlotWalk walk(walked, &graph, tally);
+    std::size_t plain_after_hit = 0;
+    for (int i = 0; i < 60; ++i) {
+        const bool bit = (i * 7 % 5) < 2;
+        std::vector<Cycles> expected;
+        work(plain, bit, expected);
+        std::vector<Cycles> records;
+        const std::uint64_t hits = tally.hits;
+        walk.slot(bit, records, [&] { work(walked, bit, records); });
+        EXPECT_EQ(records, expected) << "slot " << i;
+        if (i % 3 != 2)
+            continue;
+        edge(plain);
+        walk.plain([&] { edge(walked); });
+        plain_after_hit += tally.hits > hits ? 1 : 0;
+    }
+    walk.sync();
+    EXPECT_GT(plain_after_hit, 0u);
+    EXPECT_EQ(keyOf(walked), keyOf(plain));
+    EXPECT_EQ(countersOf(walked), countersOf(plain));
+    EXPECT_EQ(walked.cycle(), plain.cycle());
+}
+
+/** Every channel on an SMT server, an SMT SGX desktop part and an
+ *  SGX part without SMT, three trials a cell, random messages: quiet (default quiet model) or
  *  noisy (default model noise, some cells with environment noise
  *  that acts on the core and some with timer noise only). */
 std::vector<ExperimentSpec>
@@ -265,7 +341,7 @@ registryGrid(bool quiet)
     std::vector<ExperimentSpec> specs;
     int cell = 0;
     for (const std::string &channel : allChannelNames()) {
-        for (const char *cpu : {"Gold 6226", "E-2288G"}) {
+        for (const char *cpu : {"Gold 6226", "E-2174G", "E-2288G"}) {
             ExperimentSpec spec = specFor(channel, cpu, 53);
             if (!quiet) {
                 for (const auto &[key, value] : kQuiet)
@@ -339,29 +415,37 @@ TEST(SlotGraph, OnAndOffAreBitIdenticalRegistryWide)
     }
 }
 
-TEST(SlotGraph, PowerSgxAndFlushOnSwitchCellsNeverReplay)
+TEST(SlotGraph, PowerSgxNonMtAndFlushOnSwitchCellsNeverReplay)
 {
     obs::CounterScope counters(true);
     std::vector<ExperimentSpec> specs;
     for (const std::string &channel : allChannelNames()) {
         ExperimentSpec spec = specFor(channel, "E-2174G", 59);
-        const bool plain = channel.rfind("power-", 0) == 0 ||
-            channel.rfind("sgx-", 0) == 0;
-        if (!plain)
+        // Every other channel runs under the flush-on-switch defense;
+        // SGX MT runs undefended and replays.
+        if (!neverReplays(channel) && !isSgxMt(channel))
             spec.overrides["defense.flush_switch_quantum"] = 1;
         for (ExperimentSpec &trial : expandTrials(spec, 2))
             specs.push_back(std::move(trial));
     }
     std::size_t rows = 0;
+    std::size_t sgx_mt_rows = 0;
     for (const ExperimentResult &res : ExperimentRunner(2).run(specs)) {
         if (!res.ok)
             continue;
         ++rows;
-        EXPECT_EQ(res.counters->slotGraphHits, 0u) << res.spec.channel;
-        EXPECT_EQ(res.counters->slotGraphMisses, 0u) << res.spec.channel;
-        EXPECT_EQ(res.counters->slotGraphNodes, 0u) << res.spec.channel;
+        const obs::CounterSet &set = *res.counters;
+        if (isSgxMt(res.spec.channel)) {
+            ++sgx_mt_rows;
+            EXPECT_GT(set.slotGraphHits, 0u) << res.spec.channel;
+            continue;
+        }
+        EXPECT_EQ(set.slotGraphHits, 0u) << res.spec.channel;
+        EXPECT_EQ(set.slotGraphMisses, 0u) << res.spec.channel;
+        EXPECT_EQ(set.slotGraphNodes, 0u) << res.spec.channel;
     }
     EXPECT_GT(rows, 20u);
+    EXPECT_EQ(sgx_mt_rows, 4u);
 }
 
 } // namespace

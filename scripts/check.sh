@@ -34,7 +34,7 @@ cmake --build build-asan -j "${JOBS}" \
              lf_sim_test_snapshot lf_sim_test_period_skip \
              lf_sim_test_slot_graph lf_fingerprint_test_fingerprint \
              lf_sgx_test_sgx \
-             lf_run lf_campaign table_defenses campaign_overhead lf_repro
+             lf_run lf_campaign lf_repro
 ./build-asan/lf_core_test_channel_registry
 ./build-asan/lf_run_test_runner
 ./build-asan/lf_run_test_streaming
@@ -129,10 +129,7 @@ echo "== ASan/UBSan: sweep smoke test =="
     --json build-asan/sweep-smoke-t1.json --quiet
 cmp build-asan/sweep-smoke.json build-asan/sweep-smoke-t1.json
 
-echo "== ASan/UBSan: defense-grid smoke test =="
-(cd build-asan && ./table_defenses --smoke > /dev/null)
-
-echo "== ASan/UBSan: paper channel-table claims (lf_repro) =="
+echo "== ASan/UBSan: paper claims, every artifact (lf_repro) =="
 (cd build-asan && ./lf_repro > /dev/null)
 
 echo "== ASan/UBSan: campaign smoke (plan / kill / resume / merge) =="
@@ -174,9 +171,6 @@ echo "${warm_status}"
 grep -q "cache hit rate 100.0%" <<< "${warm_status}"
 ./build-asan/lf_campaign merge --dir "${camp_dir}-warm" --quiet
 cmp "${camp_dir}.golden" "${camp_dir}-warm/merged_summary.txt"
-
-echo "== ASan/UBSan: campaign-overhead smoke test =="
-(cd build-asan && ./campaign_overhead --smoke > /dev/null)
 
 echo "== ASan/UBSan: runner-throughput smoke test =="
 # The target only exists when google-benchmark is installed (CMake

@@ -166,7 +166,7 @@ identityConfig()
 
 TEST(SideChannel, PeriodSkipOnAndOffGiveIdenticalTraces)
 {
-    // Static partitioning (the table_defenses study) keeps whole-phase
+    // Static partitioning (lf_repro's defense study) keeps whole-phase
     // spans; the randomize defense re-salts the DSB between samples,
     // so every sample is a span of its own.
     DefenseSpec partition;

@@ -7,7 +7,7 @@
  *     worker threads, emitted as BENCH_runner_throughput.json — the
  *     perf trajectory of the run layer.
  *  2. google-benchmark microbenchmarks of the substrate: core tick
- *     throughput, DSB lookups, Core reset-vs-construct cost,
+ *     throughput, DSB lookups, per-trial Core construction cost,
  *     end-to-end covert-channel bit cost, and the run-layer
  *     overheads (sweep grid expansion, one full experiment trial).
  *     Skipped in --smoke mode.
@@ -87,48 +87,6 @@ trialsPerSec(const ExperimentRunner &runner,
         best = std::max(best, tps);
     }
     return best;
-}
-
-/** Direct per-trial construction-cost comparison: nanoseconds to
- *  construct a fresh Core vs to Core::reset() an existing one —
- *  exactly the work the streaming runner's core reuse saves per
- *  trial. Best-of-reps over sizeable loops, so the comparison stays
- *  meaningful on noisy shared machines where the end-to-end
- *  trials/sec delta (construction is ~0.1% of a trial) drowns in
- *  scheduler jitter. */
-void
-measureCoreReuse(int iters, int reps, double &construct_ns,
-                 double &reset_ns)
-{
-    using Clock = std::chrono::steady_clock;
-    const CpuModel &model = xeonE2288G();
-    construct_ns = 0.0;
-    reset_ns = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        Clock::time_point start = Clock::now();
-        for (int i = 0; i < iters; ++i) {
-            Core core(model, static_cast<std::uint64_t>(i) + 1);
-            benchmark::DoNotOptimize(core.cycle());
-        }
-        const double construct =
-            std::chrono::duration<double, std::nano>(Clock::now() -
-                                                     start)
-                .count() / iters;
-        Core core(model, 1);
-        start = Clock::now();
-        for (int i = 0; i < iters; ++i) {
-            core.reset(model, static_cast<std::uint64_t>(i) + 1);
-            benchmark::DoNotOptimize(core.cycle());
-        }
-        const double reset =
-            std::chrono::duration<double, std::nano>(Clock::now() -
-                                                     start)
-                .count() / iters;
-        if (rep == 0 || construct < construct_ns)
-            construct_ns = construct;
-        if (rep == 0 || reset < reset_ns)
-            reset_ns = reset;
-    }
 }
 
 /** The snapshot-gate cell: the throughput spec made quiet (every
@@ -341,16 +299,6 @@ emitRunnerThroughput(bool smoke, int repeat)
     report.integer("herd_wake_broadcasts",
                    static_cast<long long>(stats.wakeBroadcasts));
 
-    double construct_ns = 0.0;
-    double reset_ns = 0.0;
-    measureCoreReuse(smoke ? 2000 : 20000, smoke ? 2 : 5,
-                     construct_ns, reset_ns);
-    std::printf("per-trial construction cost: fresh Core %.0f ns,"
-                " Core::reset %.0f ns (%.1fx)\n",
-                construct_ns, reset_ns,
-                reset_ns > 0.0 ? construct_ns / reset_ns : 0.0);
-    report.number("core_construct_ns", construct_ns);
-    report.number("core_reset_ns", reset_ns);
     // Thread-scaling ratios, reported: on a host without 4 (8)
     // hardware threads the run oversubscribes and the ratio says
     // nothing about the runner — emit an explicit JSON null ("not
@@ -381,11 +329,6 @@ emitRunnerThroughput(bool smoke, int repeat)
                                 stats.workerParks == 0);
     if (smoke)
         return rc;
-    // The construction-vs-reset measurement is isolated because the
-    // end-to-end reuse delta (construction is a fraction of a percent
-    // of one trial) sits below shared-CI scheduler noise.
-    rc |= bench::shapeCheck("core reuse beats per-trial construction",
-                            reset_ns < construct_ns);
     rc |= bench::shapeCheck("program/chunk cache still pays on the"
                             " single-thread hot path (>= 1.2x)",
                             cache_speedup >= 1.2);
@@ -473,20 +416,6 @@ BM_CoreConstruct(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoreConstruct);
-
-void
-BM_CoreReset(benchmark::State &state)
-{
-    const CpuModel &model = xeonE2288G();
-    Core core(model, 1);
-    std::uint64_t seed = 1;
-    for (auto _ : state) {
-        core.reset(model, seed++);
-        benchmark::DoNotOptimize(core.cycle());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CoreReset);
 
 void
 BM_ChannelBit(benchmark::State &state)

@@ -97,28 +97,7 @@ rm -rf "${obs_dir}" && mkdir -p "${obs_dir}"
     --trials 6 --bits 4 --threads 4 --seed 13 \
     --trace "${obs_dir}/trace.json" --metrics "${obs_dir}/metrics.json" \
     --counters "${obs_dir}/counters.json" --quiet
-python3 - "${obs_dir}" <<'EOF'
-import json, sys
-d = sys.argv[1]
-trace = json.load(open(f"{d}/trace.json"))
-events = trace["traceEvents"]
-assert events and trace["displayTimeUnit"] == "ms"
-assert all({"name", "ph", "ts", "pid", "tid"} <= e.keys() for e in events)
-assert "trial" in {e["name"] for e in events}
-metrics = json.load(open(f"{d}/metrics.json"))
-assert metrics["schema"] == "lf_run_metrics_v1"
-for key in ("trials", "ok_trials", "workers", "seconds",
-            "trials_per_sec", "worker_parks",
-            "prepared_cache_hit_rate", "reorder_window",
-            "window_occupancy_histogram"):
-    assert key in metrics, key
-assert metrics["trials"] == 6
-assert sum(metrics["window_occupancy_histogram"]) == 6
-counters = json.load(open(f"{d}/counters.json"))
-assert counters["cycles"] > 0 and counters["uops_mite"] > 0
-print("observability smoke ok: %d trace events, %d counters"
-      % (len(events), len(counters)))
-EOF
+python3 scripts/check_obs_smoke.py "${obs_dir}"
 
 echo "== ASan/UBSan: sweep smoke test =="
 ./build-asan/lf_run --channel mt-eviction --cpu "Gold 6226" \
@@ -184,30 +163,8 @@ asan_targets="$(cmake --build build-asan --target help 2>/dev/null \
 if grep -q "microbench_simulator" <<< "${asan_targets}"; then
     cmake --build build-asan -j "${JOBS}" --target microbench_simulator
     (cd build-asan && ./microbench_simulator --smoke > /dev/null)
-    # Even in smoke mode the report must carry the counters on/off and
-    # snapshot fields (timing gates only run un-smoked), the best-of-N
-    # raw samples arrays, and t4_over_t1/t8_over_t1 slots that are a
-    # number or an explicit null — report the skip loudly either way.
-    python3 - build-asan/BENCH_runner_throughput.json <<'EOF'
-import json, sys
-report = json.load(open(sys.argv[1]))
-for key in ("counters_off_t1_trials_per_sec",
-            "counters_on_t1_trials_per_sec",
-            "snapshot_speedup_t1", "snapshot_restore_ns",
-            "snapshot_replay_ns", "snapshot_preamble_bits",
-            "hw_threads", "repeat"):
-    assert key in report, key
-assert "t4_over_t1" in report, "t4_over_t1 slot missing"
-assert "t8_over_t1" in report, "t8_over_t1 slot missing"
-samples = report["reused_t1_samples"]
-assert isinstance(samples, list) and len(samples) == report["repeat"]
-t8 = report["t8_over_t1"]
-if t8 is None:
-    print("t8_over_t1 gate: skipped (host too small: %d hardware"
-          " threads < 8)" % report["hw_threads"])
-else:
-    print("t8_over_t1 measured: %.2f" % t8)
-EOF
+    python3 scripts/check_runner_throughput.py \
+        build-asan/BENCH_runner_throughput.json
 else
     echo "libbenchmark not found: skipping"
 fi

@@ -11,15 +11,6 @@ Backend::Backend(FrontendEngine *engine)
 }
 
 void
-Backend::reset()
-{
-    issueWidth_ = engine_->params().issueWidth;
-    rrStart_ = 0;
-    tickCycles_ = 0;
-    slotsUsed_ = 0;
-}
-
-void
 Backend::tick()
 {
     // Round-robin drain, computed arithmetically: the reference

@@ -39,10 +39,6 @@ class Backend
             rrStart_ ^= 1;
     }
 
-    /** Back to the pristine post-construction state (the engine
-     *  pointer is kept; its params are re-read for the issue width). */
-    void reset();
-
     /** @name Retire-slot accounting (observability)
      * Each ticked cycle offers issueWidth retire slots; slotsUsed is
      * how many actually carried a micro-op, so utilisation is

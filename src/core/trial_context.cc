@@ -27,8 +27,10 @@ TrialContext::bind(const CpuModel &model, std::uint64_t seed,
 {
     // Tear the previous trial's defense down first: its destructor
     // uninstalls the domain-switch hook from the core we are about to
-    // reset.
+    // destroy. The old core goes before the new one is built, so a
+    // rebind never holds two.
     defense_.reset();
+    core_.reset();
 
     model_ = model;
     applyDefenseToModel(model_, defense);
@@ -37,10 +39,7 @@ TrialContext::bind(const CpuModel &model, std::uint64_t seed,
     extras_ = extras;
     preambleBits_ = preamble_bits;
 
-    if (core_)
-        core_->reset(model_, seed);
-    else
-        core_ = std::make_unique<Core>(model_, seed);
+    core_ = std::make_unique<Core>(model_, seed);
 
     env_ = Environment(env, seed);
     defense_.emplace(defense, seed);

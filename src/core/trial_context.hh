@@ -5,28 +5,18 @@
  * simulated Core, the Environment (src/noise), the Defense
  * (src/defense), the resolved ChannelConfig/ChannelExtras, and a
  * general-purpose trial RNG.
- *
- * Before this type existed the pieces were loose: three
- * CovertChannel::transmit() overloads threaded different subsets of
- * (Environment, Defense) through the transmit loop, and every caller
- * assembled Core/Environment/Defense by hand. Now there is exactly one
- * transmit path — transmit(message, TrialContext&) — and exactly one
- * resolution path from an ExperimentSpec (resolveTrial() in
- * src/run/experiment.hh).
+ * Channels transmit through one path, transmit(message,
+ * TrialContext&), and an ExperimentSpec resolves into a context
+ * through one path, resolveTrial() in src/run/experiment.hh.
  *
  * A TrialContext is rebindable: bind() tears the previous trial down
- * (defense hooks first) and reinitializes every facet for the next
- * one, reusing the Core's allocations via Core::reset(). A worker
- * thread of the streaming ExperimentRunner keeps one context alive
- * across its whole share of a batch — results are bit-identical to
- * constructing everything afresh per trial, just without the
- * per-trial construction cost.
- *
- * The context also carries the slot graph of the sweep cell its
- * trials belong to (sim/slot_graph.hh): once resolveTrial() names the
- * cell, the graph survives bind() while the cell stays the same and
- * starts empty when it changes, so a worker holds at most one cell's
- * graph.
+ * (defense hooks first, then the Core) and builds every facet afresh
+ * for the next one. What outlives bind() is the slot graph of the
+ * sweep cell its trials belong to (sim/slot_graph.hh): once
+ * resolveTrial() names the cell, the graph survives while the cell
+ * stays the same and starts empty when it changes, so a worker of the
+ * streaming ExperimentRunner keeps one context across its share of a
+ * batch and holds at most one cell's graph.
  */
 
 #ifndef LF_CORE_TRIAL_CONTEXT_HH
@@ -82,9 +72,9 @@ class TrialContext
      * (Re)bind every facet of the context for one trial. The
      * defense-model mitigations of @p defense are folded into the
      * stored model copy (applyDefenseToModel()) before the Core is
-     * built, mirroring the seed pipeline. A second bind() reuses the
-     * Core allocation (Core::reset()) after uninstalling the previous
-     * defense's hooks — bit-identical to a fresh context.
+     * built, mirroring the seed pipeline. A second bind() uninstalls
+     * the previous defense's hooks, destroys the previous Core and
+     * constructs a new one — the same state as a fresh context.
      */
     void bind(const CpuModel &model, std::uint64_t seed,
               const ChannelConfig &config, const ChannelExtras &extras,

@@ -220,23 +220,4 @@ Dsb::resetStats()
     partitionTransitions_ = 0;
 }
 
-void
-Dsb::reset(const FrontendParams &params)
-{
-    numSets_ = params.dsbSets;
-    numWays_ = params.dsbWays;
-    lf_assert(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
-              "DSB sets must be a power of two");
-    lf_assert(numSets_ >= 2, "partitioning needs at least two sets");
-    lf_assert(numWays_ > 0, "DSB needs at least one way");
-    partitioned_ = false;
-    salt_ = 0;
-    // assign() re-zeroes in place; only a geometry change reallocates.
-    lines_.assign(static_cast<std::size_t>(numSets_) *
-                      static_cast<std::size_t>(numWays_),
-                  Line{});
-    lruClock_ = 0;
-    resetStats();
-}
-
 } // namespace lf

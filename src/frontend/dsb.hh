@@ -67,15 +67,6 @@ class Dsb
     void flushAll();
 
     /**
-     * Reinitialize to the pristine post-construction state for
-     * @p params, reusing the line storage (no reallocation when the
-     * geometry is unchanged — the per-trial core-reuse fast path).
-     * The eviction callback is kept: it belongs to the owning engine,
-     * which outlives the reset.
-     */
-    void reset(const FrontendParams &params);
-
-    /**
      * Switch between shared (32-set) and partitioned (2 x 16-set)
      * indexing. Lines whose position is wrong under the new mapping
      * are invalidated (with callback). No-op if state is unchanged.

@@ -15,45 +15,6 @@ FrontendEngine::FrontendEngine(const FrontendParams &params)
     });
 }
 
-void
-FrontendEngine::reset(const FrontendParams &params)
-{
-    params_ = params;
-    l1i_.reset(params);
-    dsb_.reset(params); // keeps the eviction callback bound to us
-    bpu_.reset();
-    dsbEnabled_ = true;
-    lsdStaticPartition_ = false;
-    cycle_ = 0;
-    fastForwardedCycles_ = 0;
-    lastSlot_ = kNumThreads - 1;
-    poisonDeadline_.assign(static_cast<std::size_t>(params.dsbSets), 0);
-    blockClock_ = 0;
-    tableMemo_.clear();
-    for (auto &ts : threads_) {
-        ts.program = nullptr;
-        ts.chunks = nullptr;
-        ts.pc = 0;
-        ts.nextChunk = nullptr;
-        ts.halted = true;
-        ts.stall = 0;
-        ts.lastSource = DeliveryPath::MITE;
-        ts.idq.configure(params.idqEntries);
-        ts.lsdActive = false;
-        ts.lsdBody.clear();
-        ts.lsdPos = 0;
-        ts.lsdHead = 0;
-        ts.monitor = LoopMonitor(params);
-        ts.nextIsBlockStart = true;
-        ts.prevChunkLcp = false;
-        ts.pendingChunk = nullptr;
-        ts.pendingFromDsb = false;
-        if (!ts.condCounts.empty())
-            ts.condCounts.clear();
-        ts.counters = PerfCounters{};
-    }
-}
-
 FrontendEngine::ThreadState &
 FrontendEngine::state(ThreadId tid)
 {

@@ -260,14 +260,6 @@ class FrontendEngine
     Cycles fastForwardedCycles() const { return fastForwardedCycles_; }
 
     /**
-     * Reinitialize to the pristine post-construction state for
-     * @p params, reusing the cache/IDQ storage where possible so a
-     * per-trial reset (Core::reset()) avoids the construction
-     * allocations. Bit-identical to a freshly constructed engine.
-     */
-    void reset(const FrontendParams &params);
-
-    /**
      * Backend interface: pop at most @p max_uops micro-ops from the
      * thread's IDQ. @p insts_retired is incremented for every
      * end-of-instruction marker popped.
@@ -451,7 +443,7 @@ class FrontendEngine
 
     /** Decodes built for plain setProgram(tid, program) binds, keyed
      *  by Program::uid() (never reused, so entries cannot alias a new
-     *  image). Cleared on reset(), i.e. once per trial. */
+     *  image). Lives as long as the engine, i.e. one trial. */
     std::unordered_map<std::uint64_t, std::unique_ptr<ChunkTable>>
         tableMemo_;
 

@@ -120,30 +120,4 @@ L1iCache::missRate() const
     return static_cast<double>(misses_) / static_cast<double>(accesses_);
 }
 
-void
-L1iCache::resetStats()
-{
-    accesses_ = 0;
-    misses_ = 0;
-}
-
-void
-L1iCache::reset(const FrontendParams &params)
-{
-    numSets_ = params.l1iSets;
-    numWays_ = params.l1iWays;
-    lineBytes_ = params.l1iLineBytes;
-    missLatency_ = params.l1iMissLatency;
-    lf_assert(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
-              "L1I sets must be a power of two");
-    lf_assert(lineBytes_ > 0 && (lineBytes_ & (lineBytes_ - 1)) == 0,
-              "L1I line size must be a power of two");
-    lf_assert(numWays_ > 0, "L1I needs at least one way");
-    lines_.assign(static_cast<std::size_t>(numSets_) *
-                      static_cast<std::size_t>(numWays_),
-                  Line{});
-    lruClock_ = 0;
-    resetStats();
-}
-
 } // namespace lf

@@ -44,17 +44,11 @@ class L1iCache
     /** Invalidate everything. */
     void flushAll();
 
-    /** Reinitialize to the pristine post-construction state for
-     *  @p params, reusing the line storage where the geometry is
-     *  unchanged (the per-trial core-reuse fast path). */
-    void reset(const FrontendParams &params);
-
     /** @name Statistics */
     /// @{
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t misses() const { return misses_; }
     double missRate() const;
-    void resetStats();
     /// @}
 
     int numSets() const { return numSets_; }

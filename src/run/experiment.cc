@@ -288,7 +288,7 @@ resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
     }
     // bind() folds the defense's model-level mitigations (RAPL
     // coarsening) into the context's model copy before the Core is
-    // built/reset.
+    // built.
     ctx.bind(model, spec.seed, cfg, extras, env, defense,
              spec.preambleBits);
     ctx.enterCell(warmSnapshotKey(spec));

@@ -8,10 +8,8 @@
  * executed by the ExperimentRunner on any number of worker threads
  * with bit-identical results: every trial is a pure function of its
  * spec. resolveTrial() is the one path from spec to a bound
- * TrialContext (it subsumes the former per-facet resolveSpec*
- * functions); whether the context's Core is freshly constructed or
- * reset in place (the runner's per-worker reuse) never changes the
- * result.
+ * TrialContext; every bind builds the context's Core afresh, so a
+ * rebound context gives the same result as a new one.
  */
 
 #ifndef LF_RUN_EXPERIMENT_HH
@@ -111,9 +109,8 @@ std::vector<bool> specMessage(const ExperimentSpec &spec);
  * override map four ways by key prefix (plain keys -> ChannelConfig/
  * extras, "model." -> a private copy of the named CPU model, "env."
  * -> the EnvironmentSpec, "defense." -> the DefenseSpec), range-check
- * everything, and bind @p ctx to the result (constructing — or, on a
- * rebind, resetting in place — its Core, Environment, Defense, and
- * trial RNG from the spec's seed).
+ * everything, and bind @p ctx to the result (constructing its Core,
+ * Environment, Defense, and trial RNG from the spec's seed).
  *
  * @param skipped When non-null, set to true (with ctx left unbound /
  *        on its previous trial) if the channel does not apply to the
@@ -138,8 +135,9 @@ ExperimentResult runExperiment(const ExperimentSpec &spec);
 
 /**
  * Same, (re)binding @p ctx instead of constructing a fresh context —
- * the core-reuse path the streaming runner gives each worker.
- * Bit-identical to the fresh-context overload.
+ * the streaming runner gives each worker one context so the sweep
+ * cell's slot graph outlives the trial. Bit-identical to the
+ * fresh-context overload.
  */
 ExperimentResult runExperiment(const ExperimentSpec &spec,
                                TrialContext &ctx);

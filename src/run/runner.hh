@@ -5,9 +5,9 @@
  * Trials are embarrassingly parallel: each is a pure function of its
  * spec (seed included), so the runner fans a batch out across a
  * std::thread pool. Each worker keeps one TrialContext alive for its
- * whole share of the batch and rebinds it per trial (Core::reset()
- * instead of per-trial Core construction) — results are bit-identical
- * to building everything afresh, without the construction cost.
+ * whole share of the batch and rebinds it per trial: bind() builds a
+ * fresh Core each time, and the context keeps only the sweep cell's
+ * slot graph from one trial to the next.
  *
  * Results *stream*: run(specs, callback) delivers each result on the
  * calling thread in spec order, as soon as it and every earlier result

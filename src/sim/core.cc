@@ -390,26 +390,6 @@ Core::Core(const CpuModel &model, std::uint64_t seed)
 {
 }
 
-void
-Core::reset(const CpuModel &model, std::uint64_t seed)
-{
-    model_ = model;
-    seed_ = seed;
-    staticPartition_ = false;
-    domainSwitchHook_ = nullptr;
-    engine_.reset(model.frontend);
-    backend_.reset();
-    rng_ = Rng(seed ^ 0x5eedc0de12345678ULL);
-    energyModel_ = EnergyModel(model.energy, model.freqGhz);
-    rapl_ = RaplCounter(model.rapl, model.freqGhz,
-                        Rng(seed ^ 0x4a91ULL));
-    for (auto &snapshot : raplSnapshot_)
-        snapshot = PerfCounters{};
-    raplSyncCycle_ = 0;
-    periodSkips_ = 0;
-    skippedPeriodCycles_ = 0;
-}
-
 template <class V>
 void
 Core::visitState(V &v)

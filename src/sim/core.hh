@@ -35,17 +35,6 @@ class Core
   public:
     explicit Core(const CpuModel &model, std::uint64_t seed = 1);
 
-    /**
-     * Reinitialize in place to exactly the state of a freshly
-     * constructed Core(model, seed), reusing the cache-line/IDQ
-     * allocations of the previous trial. This is the per-worker
-     * core-reuse fast path of the streaming ExperimentRunner: trial
-     * results are bit-identical whether a Core is reset or rebuilt.
-     * Any Defense armed on this core must be torn down first (its
-     * destructor uninstalls the domain-switch hook).
-     */
-    void reset(const CpuModel &model, std::uint64_t seed);
-
     const CpuModel &model() const { return model_; }
     std::uint64_t seed() const { return seed_; }
     FrontendEngine &frontend() { return engine_; }
@@ -210,7 +199,7 @@ class Core
 
     /**
      * Overwrite every state field with its value in @p image, a
-     * stateImage() of another core. Precondition: this core was reset
+     * stateImage() of another core. Precondition: this core was built
      * with the same resolved model as the image's source (fixed-size
      * arrays are not resized), and any armed Defense has already run
      * arm(). The image's program and chunk pointers must still be
@@ -239,8 +228,8 @@ class Core
     void loadCanonicalKey(const std::vector<std::uint64_t> &key,
                           const std::vector<std::uint64_t> &counters);
 
-    /** Skips taken since reset() and the cycles they advanced. Not
-     *  machine state: outside every image and snapshot. */
+    /** Skips taken since construction and the cycles they advanced.
+     *  Not machine state: outside every image and snapshot. */
     std::uint64_t periodSkips() const { return periodSkips_; }
     Cycles skippedPeriodCycles() const { return skippedPeriodCycles_; }
     /// @}

@@ -4,7 +4,7 @@
  * the trials of one sweep cell.
  *
  * Every CovertChannel::transmit() replays the Sec. VI-B calibration
- * preamble from a cold Core::reset(), yet all trials of a cell share
+ * preamble on a freshly built Core, yet all trials of a cell share
  * one resolved config — and under a quiet environment the whole
  * warmup + preamble trajectory is bit-identical across seeds. The
  * PreparedChain cache (frontend/prepared.hh) already shares the

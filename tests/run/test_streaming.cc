@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming-runner identity tests: the streamed callback API, the
- * batch API, reused vs fresh cores, and 1/4/8 worker threads must all
- * produce bit-identical results over a registry-wide spec grid; the
+ * batch API, rebound vs fresh contexts, and 1/4/8 worker threads must
+ * all produce bit-identical results over a registry-wide spec grid; the
  * incremental SweepAccumulator must reproduce aggregateSweep()
  * exactly; and resolveTrial() must subsume the old per-facet
  * resolution (errors and skips become rows, never aborts).
@@ -92,7 +92,7 @@ TEST(StreamingRunner, StreamMatchesBatchAtEveryThreadCount)
     }
 }
 
-TEST(StreamingRunner, FreshCoresMatchReusedCores)
+TEST(StreamingRunner, FreshContextsMatchRunnerContexts)
 {
     // Runner workers rebind one TrialContext per trial; a
     // runExperiment(spec) call builds a fresh one.
@@ -107,26 +107,49 @@ TEST(StreamingRunner, ReboundContextMatchesFreshContexts)
 {
     // The worker-side primitive, without the pool: one TrialContext
     // rebound across different specs must reproduce fresh contexts.
+    // The defended spec arms a domain-switch hook on its core, so the
+    // bind after it must uninstall that hook before the core goes (the
+    // ASan job runs this binary); the noisy spec perturbs the core from
+    // its environment; the repeated cell rebinds within one slot graph.
     ExperimentSpec a;
     a.channel = "nonmt-fast-eviction";
     a.cpu = "Gold 6226";
     a.seed = 5;
     a.messageBits = 6;
+    ExperimentSpec defended;
+    defended.channel = "mt-eviction";
+    defended.cpu = "Gold 6226";
+    defended.seed = 3;
+    defended.messageBits = 6;
+    defended.overrides["defense.flush_switch_quantum"] = 1;
+    defended.overrides["defense.partition_dsb"] = 1;
     ExperimentSpec b;
     b.channel = "slow-switch";
     b.cpu = "E-2288G";
     b.seed = 9;
     b.messageBits = 6;
     b.overrides["model.lcpStall"] = 4;
+    ExperimentSpec noisy;
+    noisy.channel = "nonmt-fast-eviction";
+    noisy.cpu = "E-2286G";
+    noisy.seed = 11;
+    noisy.messageBits = 6;
+    noisy.overrides["env.corunner_intensity"] = 0.5;
+    ExperimentSpec again = a;
+    again.seed = 6;
 
-    TrialContext reused;
-    const auto first = runExperiment(a, reused);
-    const auto second = runExperiment(b, reused);
-    const auto third = runExperiment(a, reused);
-
-    EXPECT_EQ(jsonOf({first, second, third}),
-              jsonOf({runExperiment(a), runExperiment(b),
-                      runExperiment(a)}));
+    const std::vector<ExperimentSpec> specs = {a, defended, b, noisy,
+                                               a, again};
+    TrialContext ctx;
+    std::vector<ExperimentResult> rebound;
+    std::vector<ExperimentResult> fresh;
+    for (const ExperimentSpec &spec : specs) {
+        rebound.push_back(runExperiment(spec, ctx));
+        fresh.push_back(runExperiment(spec));
+    }
+    for (const ExperimentResult &res : rebound)
+        EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(jsonOf(rebound), jsonOf(fresh));
 }
 
 TEST(StreamingRunner, CallbackExceptionStopsAndPropagates)

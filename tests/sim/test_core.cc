@@ -143,49 +143,6 @@ TEST(EnergyModel, StaticPowerDominatesIdle)
     EXPECT_NEAR(watts, EnergyParams{}.staticWatts, 1e-6);
 }
 
-TEST(Core, ResetIsBitIdenticalToConstruction)
-{
-    // Run a dirtying workload (programs bound, partition toggles,
-    // noisy timing, RAPL reads), then reset to a new seed: every
-    // subsequent observable must match a freshly constructed
-    // Core(model, seed) exactly.
-    const auto observe = [](Core &core) {
-        const auto loop = buildNopLoop(0x100000, 50);
-        core.setProgram(0, &loop.program);
-        std::vector<double> obs;
-        for (int i = 0; i < 5; ++i)
-            obs.push_back(core.timedRun(0, 100));
-        obs.push_back(core.readRapl());
-        obs.push_back(static_cast<double>(core.cycle()));
-        obs.push_back(
-            static_cast<double>(core.counters(0).uopsDsb));
-        return obs;
-    };
-
-    Core reused(gold6226(), 11);
-    {
-        std::vector<BlockSpec> specs;
-        for (int i = 0; i < 9; ++i)
-            specs.push_back({i, false});
-        const auto dirty = buildMixBlockChain(0x400000, 5, specs);
-        reused.setProgram(0, &dirty.program);
-        reused.setStaticPartition(true);
-        runLoopIters(reused, 0, dirty, 20);
-        reused.readRapl();
-        reused.clearProgram(0);
-    }
-    reused.reset(gold6226(), 77);
-
-    Core fresh(gold6226(), 77);
-    EXPECT_EQ(observe(reused), observe(fresh));
-
-    // Resetting to a different model retunes the machine.
-    reused.reset(xeonE2286G(), 5);
-    Core fresh_fast(xeonE2286G(), 5);
-    EXPECT_EQ(observe(reused), observe(fresh_fast));
-    EXPECT_DOUBLE_EQ(reused.secondsOf(4.0e9), 1.0);
-}
-
 TEST(Core, DeadlockGuardUsesModelKnob)
 {
     CpuModel model = gold6226();

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "core/nonmt_channels.hh"
@@ -32,6 +33,7 @@
 #include "sim/core.hh"
 #include "sim/cpu_model.hh"
 #include "sim/executor.hh"
+#include "sim/slot_graph.hh"
 #include "sim/snapshot.hh"
 
 namespace lf {
@@ -116,10 +118,14 @@ measureSnapshotRestore(int iters, int reps, double &restore_ns,
                        double &replay_ns)
 {
     using Clock = std::chrono::steady_clock;
-    TrialContext ctx;
+    // Calibrate with the cell's slot graph, as a runner trial does:
+    // the quiet cell replays its slots from it.
+    SlotGraph graph;
+    std::optional<TrialContext> resolved;
     const ExperimentSpec spec = snapshotSpec();
-    if (!resolveTrial(spec, ctx).empty())
+    if (!resolveTrial(spec, resolved, nullptr, &graph).empty())
         return false;
+    TrialContext &ctx = *resolved;
     const auto channel = makeChannel(spec.channel, ctx);
     const CovertChannel::Calibration calib = channel->calibrate(ctx);
     if (!calib.rngUntouched)

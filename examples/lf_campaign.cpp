@@ -33,7 +33,6 @@
 #include "common/logging.hh"
 #include "obs/trace.hh"
 #include "run/cli.hh"
-#include "sim/cpu_model.hh"
 
 using namespace lf;
 
@@ -114,11 +113,7 @@ cmdPlan(Args &args)
 {
     std::string dir;
     int shards = 1;
-    std::vector<std::string> channels;
-    std::vector<std::string> cpus;
     SweepSpec sweep;
-    MessagePattern pattern = MessagePattern::Alternating;
-    int bits = 100;
     bool quiet = false;
 
     for (int i = args.next; i < args.argc; ++i) {
@@ -130,44 +125,9 @@ cmdPlan(Args &args)
                 shards < 1) {
                 fail("bad --shards value");
             }
-        } else if (arg == "--channel") {
-            channels.push_back(args.value(i, "--channel"));
-        } else if (arg == "--cpu") {
-            cpus.push_back(args.value(i, "--cpu"));
-        } else if (arg == "--trials") {
-            if (!parseStrictInt(args.value(i, "--trials"),
-                                sweep.trials) ||
-                sweep.trials < 1) {
-                fail("bad --trials value");
-            }
-        } else if (arg == "--seed") {
-            if (!parseStrictUint64(args.value(i, "--seed"),
-                                   sweep.seed)) {
-                fail("bad --seed value");
-            }
-        } else if (arg == "--bits") {
-            if (!parseStrictInt(args.value(i, "--bits"), bits) ||
-                bits < 1) {
-                fail("bad --bits value");
-            }
-        } else if (arg == "--pattern") {
-            const std::string name = args.value(i, "--pattern");
-            if (!messagePatternFromString(name, pattern))
-                fail("unknown pattern \"" + name + "\"");
-        } else if (arg == "--preamble") {
-            if (!parseStrictInt(args.value(i, "--preamble"),
-                                sweep.preambleBits) ||
-                sweep.preambleBits < 2) {
-                fail("bad --preamble value");
-            }
-        } else if (arg == "--set") {
-            const std::string error = parseSetArg(
-                args.value(i, "--set"), sweep.baseOverrides);
-            if (!error.empty())
-                fail(error);
-        } else if (arg == "--sweep") {
+        } else if (isGridFlag(arg)) {
             const std::string error =
-                parseSweepArg(args.value(i, "--sweep"), sweep.axes);
+                parseGridFlag(arg, args.value(i, arg.c_str()), sweep);
             if (!error.empty())
                 fail(error);
         } else if (arg == "--quiet") {
@@ -178,19 +138,9 @@ cmdPlan(Args &args)
     }
     if (dir.empty())
         fail("plan needs --dir");
-    if (channels.empty())
+    if (sweep.channels.empty())
         fail("plan needs at least one --channel");
-    if (channels.size() == 1 && channels[0] == "all")
-        channels = allChannelNames();
-    if (cpus.empty() || (cpus.size() == 1 && cpus[0] == "all")) {
-        cpus.clear();
-        for (const CpuModel *model : allCpuModels())
-            cpus.push_back(model->name);
-    }
-    sweep.channels = channels;
-    sweep.cpus = cpus;
-    sweep.patterns = {pattern};
-    sweep.messageBits = static_cast<std::size_t>(bits);
+    expandGridNames(sweep);
 
     CampaignManifest manifest;
     const std::string error =

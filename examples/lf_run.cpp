@@ -36,7 +36,6 @@
 #include "obs/trace.hh"
 #include "run/cli.hh"
 #include "run/sweep.hh"
-#include "sim/cpu_model.hh"
 
 using namespace lf;
 
@@ -115,13 +114,9 @@ usage(std::FILE *to)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> channels;
-    std::vector<std::string> cpus;
     SweepSpec sweep;
     SweepShard shard;
     int threads = 0;
-    MessagePattern pattern = MessagePattern::Alternating;
-    int bits = 100;
     std::string json_path;
     std::string csv_path;
     std::string summary_path;
@@ -163,45 +158,16 @@ main(int argc, char **argv)
         } else if (arg == "--list-counters") {
             std::printf("%s", renderCounterCatalog().c_str());
             return 0;
-        } else if (arg == "--channel") {
-            channels.push_back(need_value(i++));
-        } else if (arg == "--cpu") {
-            cpus.push_back(need_value(i++));
-        } else if (arg == "--trials") {
-            if (!parseStrictInt(need_value(i++), sweep.trials) ||
-                sweep.trials < 1) {
-                fail("bad --trials value");
-            }
+        } else if (isGridFlag(arg)) {
+            const std::string error =
+                parseGridFlag(arg, need_value(i++), sweep);
+            if (!error.empty())
+                fail(error);
         } else if (arg == "--threads") {
             if (!parseStrictInt(need_value(i++), threads) ||
                 threads < 0) {
                 fail("bad --threads value");
             }
-        } else if (arg == "--seed") {
-            if (!parseStrictUint64(need_value(i++), sweep.seed))
-                fail("bad --seed value");
-        } else if (arg == "--bits") {
-            if (!parseStrictInt(need_value(i++), bits) || bits < 1)
-                fail("bad --bits value");
-        } else if (arg == "--pattern") {
-            const std::string name = need_value(i++);
-            if (!messagePatternFromString(name, pattern))
-                fail("unknown pattern \"" + name + "\"");
-        } else if (arg == "--preamble") {
-            if (!parseStrictInt(need_value(i++), sweep.preambleBits) ||
-                sweep.preambleBits < 2) {
-                fail("bad --preamble value");
-            }
-        } else if (arg == "--set") {
-            const std::string error =
-                parseSetArg(need_value(i++), sweep.baseOverrides);
-            if (!error.empty())
-                fail(error);
-        } else if (arg == "--sweep") {
-            const std::string error =
-                parseSweepArg(need_value(i++), sweep.axes);
-            if (!error.empty())
-                fail(error);
         } else if (arg == "--shard") {
             const std::string error =
                 parseShardArg(need_value(i++), shard);
@@ -232,22 +198,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (channels.empty()) {
+    if (sweep.channels.empty()) {
         lf_error("no --channel given (try --list or --help)");
         return 1;
     }
-    if (channels.size() == 1 && channels[0] == "all")
-        channels = allChannelNames();
-    if (cpus.empty() || (cpus.size() == 1 && cpus[0] == "all")) {
-        cpus.clear();
-        for (const CpuModel *model : allCpuModels())
-            cpus.push_back(model->name);
-    }
-
-    sweep.channels = channels;
-    sweep.cpus = cpus;
-    sweep.patterns = {pattern};
-    sweep.messageBits = static_cast<std::size_t>(bits);
+    expandGridNames(sweep);
 
     std::string error = validateSweepSpec(sweep);
     if (error.empty())

@@ -112,44 +112,7 @@ echo "== ASan/UBSan: paper claims, every artifact (lf_repro) =="
 (cd build-asan && ./lf_repro > /dev/null)
 
 echo "== ASan/UBSan: campaign smoke (plan / kill / resume / merge) =="
-# A 4-shard campaign over a small grid: shard 0 is killed after one
-# row (--max-new 1; its partial cell is flushed to the result cache),
-# every shard is then run to completion (shard 0 resumes), and the
-# merged summary must be byte-identical to the unsharded lf_run
-# --summary of the same grid. The same grid re-planned into a second
-# directory then runs wholly from the cache: status must report a
-# 100.0% hit rate and its merged summary must match too.
-camp_dir="build-asan/campaign-smoke"
-rm -rf "${camp_dir}" "${camp_dir}-cache" "${camp_dir}-warm"
-./build-asan/lf_run --channel nonmt-fast-eviction --channel slow-switch \
-    --cpu "Gold 6226" --sweep rounds=5:10:5 --trials 2 --bits 12 \
-    --seed 11 --summary "${camp_dir}.golden" --quiet
-./build-asan/lf_campaign plan --dir "${camp_dir}" --shards 4 \
-    --channel nonmt-fast-eviction --channel slow-switch \
-    --cpu "Gold 6226" --sweep rounds=5:10:5 --trials 2 --bits 12 \
-    --seed 11 --quiet
-./build-asan/lf_campaign run-shard --dir "${camp_dir}" --shard 0 \
-    --max-new 1 --cache "${camp_dir}-cache" --quiet
-for shard in 0 1 2 3; do
-    ./build-asan/lf_campaign run-shard --dir "${camp_dir}" \
-        --shard "${shard}" --cache "${camp_dir}-cache" --quiet
-done
-./build-asan/lf_campaign status --dir "${camp_dir}"
-./build-asan/lf_campaign merge --dir "${camp_dir}" --quiet
-cmp "${camp_dir}.golden" "${camp_dir}/merged_summary.txt"
-./build-asan/lf_campaign plan --dir "${camp_dir}-warm" --shards 4 \
-    --channel nonmt-fast-eviction --channel slow-switch \
-    --cpu "Gold 6226" --sweep rounds=5:10:5 --trials 2 --bits 12 \
-    --seed 11 --quiet
-for shard in 0 1 2 3; do
-    ./build-asan/lf_campaign run-shard --dir "${camp_dir}-warm" \
-        --shard "${shard}" --cache "${camp_dir}-cache" --quiet
-done
-warm_status="$(./build-asan/lf_campaign status --dir "${camp_dir}-warm")"
-echo "${warm_status}"
-grep -q "cache hit rate 100.0%" <<< "${warm_status}"
-./build-asan/lf_campaign merge --dir "${camp_dir}-warm" --quiet
-cmp "${camp_dir}.golden" "${camp_dir}-warm/merged_summary.txt"
+./scripts/campaign_smoke.sh build-asan
 
 echo "== ASan/UBSan: runner-throughput smoke test =="
 # The target only exists when google-benchmark is installed (CMake

@@ -93,11 +93,6 @@ applyDefenseToModel(CpuModel &model, const DefenseSpec &spec)
         model.rapl.updateIntervalUs *= spec.rapl.intervalScale;
 }
 
-Defense::Defense()
-    : Defense(DefenseSpec{}, 0)
-{
-}
-
 Defense::Defense(const DefenseSpec &spec, std::uint64_t trial_seed)
     : spec_(spec), inactive_(spec.inactive()),
       rng_(deriveDefenseSeed(trial_seed))

@@ -191,9 +191,6 @@ void applyDefenseToModel(CpuModel &model, const DefenseSpec &spec);
 class Defense
 {
   public:
-    /** An inactive defense (all hooks no-ops). */
-    Defense();
-
     /** Bind @p spec with the RNG seeded from @p trial_seed (via
      *  deriveDefenseSeed()). */
     Defense(const DefenseSpec &spec, std::uint64_t trial_seed);

@@ -118,11 +118,6 @@ deriveEnvironmentSeed(std::uint64_t trial_seed)
     return splitmix64(trial_seed ^ 0x656e7669726f6e31ULL);
 }
 
-Environment::Environment()
-    : Environment(EnvironmentSpec{}, 0)
-{
-}
-
 Environment::Environment(const EnvironmentSpec &spec,
                          std::uint64_t trial_seed)
     : spec_(spec), quiet_(spec.quiet()),

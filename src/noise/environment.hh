@@ -166,9 +166,6 @@ std::uint64_t deriveEnvironmentSeed(std::uint64_t trial_seed);
 class Environment
 {
   public:
-    /** A quiet environment (all hooks no-ops). */
-    Environment();
-
     /** Bind @p spec with the RNG seeded from @p trial_seed (via
      *  deriveEnvironmentSeed()). */
     Environment(const EnvironmentSpec &spec, std::uint64_t trial_seed);

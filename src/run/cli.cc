@@ -59,8 +59,15 @@ parseAxisValues(const std::string &key, const std::string &text,
             return bad("HI must be >= LO");
         // Values are computed as lo + i*step (no accumulation drift);
         // the epsilon admits HI itself despite rounding.
-        const auto points = static_cast<std::size_t>(
-            std::floor((hi - lo) / step + 1e-9)) + 1;
+        // An axis longer than a whole grid may be is refused before
+        // it allocates (validateSweepSpec() bounds the product); the
+        // negated test also catches a count that overflows to inf.
+        const double last = std::floor((hi - lo) / step + 1e-9);
+        if (!(last < static_cast<double>(kMaxSweepTrials))) {
+            return bad("more than " + std::to_string(kMaxSweepTrials) +
+                       " points");
+        }
+        const auto points = static_cast<std::size_t>(last) + 1;
         for (std::size_t i = 0; i < points; ++i)
             values.push_back(lo + static_cast<double>(i) * step);
         return "";
@@ -163,6 +170,98 @@ parseSweepArg(const std::string &text, std::vector<SweepAxis> &axes)
         axes.push_back(std::move(axis));
     }
     return "";
+}
+
+namespace {
+
+/** One grid flag: its name and how its value lands in the spec. */
+struct GridFlag
+{
+    const char *name;
+    std::string (*apply)(const std::string &value, SweepSpec &sweep);
+};
+
+const GridFlag kGridFlags[] = {
+    {"--channel", [](const std::string &v, SweepSpec &s) -> std::string {
+         s.channels.push_back(v);
+         return "";
+     }},
+    {"--cpu", [](const std::string &v, SweepSpec &s) -> std::string {
+         s.cpus.push_back(v);
+         return "";
+     }},
+    {"--trials", [](const std::string &v, SweepSpec &s) -> std::string {
+         return parseStrictInt(v, s.trials) && s.trials >= 1
+             ? "" : "bad --trials value";
+     }},
+    {"--seed", [](const std::string &v, SweepSpec &s) -> std::string {
+         return parseStrictUint64(v, s.seed) ? "" : "bad --seed value";
+     }},
+    {"--bits", [](const std::string &v, SweepSpec &s) -> std::string {
+         int bits;
+         if (!parseStrictInt(v, bits) || bits < 1)
+             return "bad --bits value";
+         s.messageBits = static_cast<std::size_t>(bits);
+         return "";
+     }},
+    {"--pattern", [](const std::string &v, SweepSpec &s) -> std::string {
+         MessagePattern pattern;
+         if (!messagePatternFromString(v, pattern))
+             return "unknown pattern \"" + v + "\"";
+         s.patterns = {pattern};
+         return "";
+     }},
+    {"--preamble", [](const std::string &v, SweepSpec &s) -> std::string {
+         return parseStrictInt(v, s.preambleBits) && s.preambleBits >= 2
+             ? "" : "bad --preamble value";
+     }},
+    {"--set", [](const std::string &v, SweepSpec &s) {
+         return parseSetArg(v, s.baseOverrides);
+     }},
+    {"--sweep", [](const std::string &v, SweepSpec &s) {
+         return parseSweepArg(v, s.axes);
+     }},
+};
+
+const GridFlag *
+findGridFlag(const std::string &flag)
+{
+    for (const GridFlag &grid : kGridFlags) {
+        if (flag == grid.name)
+            return &grid;
+    }
+    return nullptr;
+}
+
+} // namespace
+
+bool
+isGridFlag(const std::string &flag)
+{
+    return findGridFlag(flag) != nullptr;
+}
+
+std::string
+parseGridFlag(const std::string &flag, const std::string &value,
+              SweepSpec &sweep)
+{
+    const GridFlag *grid = findGridFlag(flag);
+    if (grid == nullptr)
+        return "\"" + flag + "\" is not a grid flag";
+    return grid->apply(value, sweep);
+}
+
+void
+expandGridNames(SweepSpec &sweep)
+{
+    if (sweep.channels.size() == 1 && sweep.channels[0] == "all")
+        sweep.channels = allChannelNames();
+    if (sweep.cpus.empty() ||
+        (sweep.cpus.size() == 1 && sweep.cpus[0] == "all")) {
+        sweep.cpus.clear();
+        for (const CpuModel *model : allCpuModels())
+            sweep.cpus.push_back(model->name);
+    }
 }
 
 std::string

@@ -51,7 +51,8 @@ std::string parseSetArg(const std::string &text,
 /**
  * Parse one --sweep argument into @p axes. Grammar, comma-separated:
  *
- *   KEY=LO:HI:STEP   inclusive range (STEP > 0, LO <= HI)
+ *   KEY=LO:HI:STEP   inclusive range (STEP > 0, LO <= HI, at most
+ *                    kMaxSweepTrials points)
  *   KEY=V1|V2|...    explicit value list
  *   KEY=VALUE        single value
  *
@@ -61,6 +62,21 @@ std::string parseSetArg(const std::string &text,
  */
 std::string parseSweepArg(const std::string &text,
                           std::vector<SweepAxis> &axes);
+
+/**
+ * The flags that define a sweep grid, shared by lf_run and `lf_campaign
+ * plan` so one command line builds the same grid in both: --channel
+ * and --cpu (repeatable), --trials, --seed, --bits, --pattern,
+ * --preamble, --set and --sweep. parseGridFlag() applies one of them
+ * (isGridFlag()) with its value to @p sweep and returns an error
+ * message or the empty string. expandGridNames() finishes the grid: a
+ * lone "all" channel becomes every registered channel, and no CPU or
+ * a lone "all" every CPU model.
+ */
+bool isGridFlag(const std::string &flag);
+std::string parseGridFlag(const std::string &flag,
+                          const std::string &value, SweepSpec &sweep);
+void expandGridNames(SweepSpec &sweep);
 
 /** Parse an "i/n" shard selector (0 <= i < n). */
 std::string parseShardArg(const std::string &text, SweepShard &shard);

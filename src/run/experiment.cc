@@ -206,11 +206,12 @@ resolveDefense(const ExperimentSpec &spec, DefenseSpec &defense)
 }
 
 /**
- * The warm-snapshot cell key: exactly the spec fields that determine
- * the post-calibration machine state. Seed, trial index, message
- * bits/pattern and label are deliberately absent — the snapshot is
- * only ever captured when calibration proved itself seed-independent
- * (the RNG tripwire), and the message phase runs live per trial.
+ * The sweep-cell key of the warm snapshot and the slot graph: exactly
+ * the spec fields that determine the post-calibration machine state.
+ * Seed, trial index, message bits/pattern and label are deliberately
+ * absent — the snapshot is only ever captured when calibration proved
+ * itself seed-independent (the RNG tripwire), and the message phase
+ * runs live per trial.
  * Mirrors the PreparedChain key discipline: resolved identity, not
  * incidental identity. Overrides carry the model/env/defense folds;
  * std::map iteration keeps the rendering canonical.
@@ -266,9 +267,10 @@ validateSpec(const ExperimentSpec &spec)
 }
 
 std::string
-resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
-             bool *skipped)
+resolveTrial(const ExperimentSpec &spec, std::optional<TrialContext> &ctx,
+             bool *skipped, SlotGraph *graph)
 {
+    ctx.reset();
     if (skipped != nullptr)
         *skipped = false;
     CpuModel model;
@@ -286,12 +288,10 @@ resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
         return "channel " + spec.channel + " not supported on " +
             spec.cpu;
     }
-    // bind() folds the defense's model-level mitigations (RAPL
-    // coarsening) into the context's model copy before the Core is
-    // built.
-    ctx.bind(model, spec.seed, cfg, extras, env, defense,
-             spec.preambleBits);
-    ctx.enterCell(warmSnapshotKey(spec));
+    // The context folds the defense's model-level mitigations (RAPL
+    // coarsening) into its model copy before the Core is built.
+    ctx.emplace(model, spec.seed, cfg, extras, env, defense,
+                spec.preambleBits, graph);
     return "";
 }
 
@@ -300,8 +300,8 @@ namespace {
 /** Everything of runExperiment() between a successful resolve and
  *  counter collection: prepare, calibrate (or restore), transmit. */
 void
-runTrial(const ExperimentSpec &spec, TrialContext &ctx,
-         ExperimentResult &out)
+runTrial(const ExperimentSpec &spec, const std::string &cell_key,
+         TrialContext &ctx, ExperimentResult &out)
 {
     const std::uint64_t prepare_start =
         obs::traceEnabled() ? obs::traceNowUs() : 0;
@@ -316,7 +316,6 @@ runTrial(const ExperimentSpec &spec, TrialContext &ctx,
     // and transparently calibrate cold every time. Either way the
     // result is bit-identical to the plain transmit() composition.
     WarmSnapshotPtr snap;
-    const std::string &cell_key = ctx.cellKey();
     SnapshotOutcome outcome = SnapshotOutcome::Disabled;
     if (warmSnapshotsApplicable())
         outcome = lookupWarmSnapshot(cell_key, snap);
@@ -359,12 +358,12 @@ runTrial(const ExperimentSpec &spec, TrialContext &ctx,
 ExperimentResult
 runExperiment(const ExperimentSpec &spec)
 {
-    TrialContext ctx;
-    return runExperiment(spec, ctx);
+    CellGraph cell;
+    return runExperiment(spec, cell);
 }
 
 ExperimentResult
-runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
+runExperiment(const ExperimentSpec &spec, CellGraph &cell)
 {
     ExperimentResult out;
     out.spec = spec;
@@ -384,9 +383,19 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
     const std::uint64_t snap_bypasses =
         counters_on ? snapshotCacheThreadBypasses() : 0;
 
+    std::optional<TrialContext> ctx;
     {
         obs::TraceScope span("resolve");
-        out.error = resolveTrial(spec, ctx, &out.skipped);
+        out.error = resolveTrial(spec, ctx, &out.skipped, &cell.graph);
+        if (out.error.empty()) {
+            // Every trial of one cell resolves to the same machine:
+            // keep its graph; a new cell starts an empty one.
+            std::string key = warmSnapshotKey(spec);
+            if (key != cell.key) {
+                cell.graph = SlotGraph{};
+                cell.key = std::move(key);
+            }
+        }
     }
     if (!out.error.empty())
         return out;
@@ -394,7 +403,7 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
     // A run guard that trips (TrialError) fails this trial only: the
     // row carries the reason and the batch goes on.
     try {
-        runTrial(spec, ctx, out);
+        runTrial(spec, cell.key, *ctx, out);
     } catch (const TrialError &e) {
         out.error = e.what();
         return out;
@@ -402,7 +411,7 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
 
     if (counters_on) {
         auto set = std::make_shared<obs::CounterSet>(
-            obs::collectCoreCounters(ctx.core()));
+            obs::collectCoreCounters(ctx->core()));
         set->preparedCacheHits =
             preparedCacheThreadHits() - prep_hits;
         set->preparedCacheMisses =
@@ -412,9 +421,9 @@ runExperiment(const ExperimentSpec &spec, TrialContext &ctx)
             snapshotCacheThreadMisses() - snap_misses;
         set->snapshotBypasses =
             snapshotCacheThreadBypasses() - snap_bypasses;
-        set->slotGraphHits = ctx.slotTally().hits;
-        set->slotGraphMisses = ctx.slotTally().misses;
-        const SlotGraph *graph = ctx.slotGraph();
+        set->slotGraphHits = ctx->slotTally().hits;
+        set->slotGraphMisses = ctx->slotTally().misses;
+        const SlotGraph *graph = ctx->slotGraph();
         set->slotGraphNodes = graph != nullptr ? graph->nodes() : 0;
         out.counters = std::move(set);
     }

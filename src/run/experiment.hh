@@ -7,9 +7,10 @@
  * message, and any config overrides — so that a batch of specs can be
  * executed by the ExperimentRunner on any number of worker threads
  * with bit-identical results: every trial is a pure function of its
- * spec. resolveTrial() is the one path from spec to a bound
- * TrialContext; every bind builds the context's Core afresh, so a
- * rebound context gives the same result as a new one.
+ * spec. resolveTrial() is the one path from spec to a TrialContext,
+ * which it constructs afresh for every trial. What spans trials is
+ * the slot graph of a sweep cell (CellGraph), carried by whoever runs
+ * the cell's trials in sequence.
  */
 
 #ifndef LF_RUN_EXPERIMENT_HH
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,38 +111,47 @@ std::vector<bool> specMessage(const ExperimentSpec &spec);
  * override map four ways by key prefix (plain keys -> ChannelConfig/
  * extras, "model." -> a private copy of the named CPU model, "env."
  * -> the EnvironmentSpec, "defense." -> the DefenseSpec), range-check
- * everything, and bind @p ctx to the result (constructing its Core,
- * Environment, Defense, and trial RNG from the spec's seed).
+ * everything, and construct @p ctx from the result (its Core,
+ * Environment and Defense seeded from the spec's seed). An earlier
+ * context in @p ctx goes first; an error or skip leaves it empty.
  *
- * @param skipped When non-null, set to true (with ctx left unbound /
- *        on its previous trial) if the channel does not apply to the
- *        resolved model — e.g. an MT channel on the SMT-disabled
- *        E-2288G. Not an error.
+ * @param skipped When non-null, set to true if the channel does not
+ *        apply to the resolved model — e.g. an MT channel on the
+ *        SMT-disabled E-2288G. Not an error.
+ * @param graph The slot graph of the spec's sweep cell, lent to the
+ *        context; null runs every slot plainly.
  * @return an error message ("" on success) — unknown override keys
  *         and unusable resolved values are reported, not fatal, so a
  *         bad spec in a parallel batch becomes an error row.
  */
-std::string resolveTrial(const ExperimentSpec &spec, TrialContext &ctx,
-                         bool *skipped = nullptr);
+std::string resolveTrial(const ExperimentSpec &spec,
+                         std::optional<TrialContext> &ctx,
+                         bool *skipped = nullptr,
+                         SlotGraph *graph = nullptr);
 
 /**
- * Validate names and config resolution without binding a context;
+ * Validate names and config resolution without building a context;
  * returns an error message or the empty string. (Support constraints
  * like SMT are reported via ExperimentResult::skipped, not here.)
  */
 std::string validateSpec(const ExperimentSpec &spec);
 
+/** The slot graph of one sweep cell, carried from trial to trial by
+ *  a runner worker (or held by one runExperiment() call). */
+struct CellGraph
+{
+    std::string key; //!< The cell's key; empty before the first trial.
+    SlotGraph graph;
+};
+
 /** Run one trial synchronously on the calling thread. */
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 
-/**
- * Same, (re)binding @p ctx instead of constructing a fresh context —
- * the streaming runner gives each worker one context so the sweep
- * cell's slot graph outlives the trial. Bit-identical to the
- * fresh-context overload.
- */
+/** Same, carrying @p cell's graph: kept while @p spec names the cell
+ *  of the last trial that resolved, else started empty. The results
+ *  are bit-identical to the one-off overload. */
 ExperimentResult runExperiment(const ExperimentSpec &spec,
-                               TrialContext &ctx);
+                               CellGraph &cell);
 
 } // namespace lf
 

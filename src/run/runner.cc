@@ -22,10 +22,10 @@ namespace {
 /** One trial, exception-safe: anything thrown becomes an error row so
  *  a bad spec never kills a worker. */
 ExperimentResult
-runOne(const ExperimentSpec &spec, TrialContext &ctx)
+runOne(const ExperimentSpec &spec, CellGraph &cell)
 {
     try {
-        return runExperiment(spec, ctx);
+        return runExperiment(spec, cell);
     } catch (const std::exception &e) {
         ExperimentResult out;
         out.spec = spec;
@@ -107,13 +107,13 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
 
     if (workers <= 1) {
         // Single-threaded: compute and deliver inline, in spec order.
-        TrialContext ctx;
+        CellGraph cell;
         for (std::size_t i = 0; i < n; ++i) {
             if (trialProbe_)
                 trialProbe_(i, i);
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            const ExperimentResult res = runOne(specs[i], ctx);
+            const ExperimentResult res = runOne(specs[i], cell);
             obs::traceComplete("trial", trial_start, i, true);
             if (metricsSink_ != nullptr) {
                 count_outcome(res);
@@ -147,7 +147,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     int parkedWorkers = 0;
 
     auto work = [&]() {
-        TrialContext ctx;
+        CellGraph cell;
         std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
             if (!cancelled && next < n && next >= delivered + window) {
@@ -171,7 +171,7 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
                 trialProbe_(i, seen);
             const std::uint64_t trial_start =
                 obs::traceEnabled() ? obs::traceNowUs() : 0;
-            ExperimentResult result = runOne(specs[i], ctx);
+            ExperimentResult result = runOne(specs[i], cell);
             obs::traceComplete("trial", trial_start, i, true);
             lock.lock();
             std::optional<ExperimentResult> &slot = slots[i % window];

@@ -4,10 +4,9 @@
  *
  * Trials are embarrassingly parallel: each is a pure function of its
  * spec (seed included), so the runner fans a batch out across a
- * std::thread pool. Each worker keeps one TrialContext alive for its
- * whole share of the batch and rebinds it per trial: bind() builds a
- * fresh Core each time, and the context keeps only the sweep cell's
- * slot graph from one trial to the next.
+ * std::thread pool. Every trial builds its own TrialContext; each
+ * worker carries only the slot graph of the sweep cell it is in
+ * (CellGraph) from one trial to the next.
  *
  * Results *stream*: run(specs, callback) delivers each result on the
  * calling thread in spec order, as soon as it and every earlier result

@@ -169,6 +169,21 @@ validateSweepSpec(const SweepSpec &spec)
                 return "duplicate sweep axis \"" + axis.key + "\"";
         }
     }
+    // Every dimension is >= 1 here; stopping at the bound keeps the
+    // running product from overflowing.
+    std::vector<std::size_t> dims = {
+        spec.channels.size(), spec.cpus.size(), spec.patterns.size(),
+        static_cast<std::size_t>(spec.trials)};
+    for (const SweepAxis &axis : spec.axes)
+        dims.push_back(axis.values.size());
+    std::size_t total = 1;
+    for (const std::size_t dim : dims) {
+        if (dim > kMaxSweepTrials / total) {
+            return "sweep grid has more than " +
+                std::to_string(kMaxSweepTrials) + " trials";
+        }
+        total *= dim;
+    }
     return "";
 }
 

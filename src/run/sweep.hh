@@ -75,6 +75,11 @@ struct SweepShard
     int count = 1;
 };
 
+/** Most trials one sweep grid may expand to (cells x trials);
+ *  validateSweepSpec() rejects a larger grid before anything
+ *  allocates it. */
+constexpr std::size_t kMaxSweepTrials = 1000000;
+
 /** Number of grid cells (trials excluded). */
 std::size_t sweepCellCount(const SweepSpec &spec);
 
@@ -92,7 +97,8 @@ std::string cellKeyOf(const ExperimentSpec &spec);
 /**
  * Check the grid itself: non-empty dimensions, known channel/CPU/
  * override names, no duplicate or conflicting axis keys, sane trial
- * count. @return an error message or the empty string.
+ * count, at most kMaxSweepTrials trials in all.
+ * @return an error message or the empty string.
  */
 std::string validateSweepSpec(const SweepSpec &spec);
 

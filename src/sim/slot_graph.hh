@@ -59,8 +59,10 @@
  *    every decode bound at a node, and a decode the prepared-chain
  *    cache does not own disables the graph for the cell.
  *
- * One graph belongs to one TrialContext and one sweep cell, so it is
- * never shared between threads.
+ * One graph belongs to one sweep cell. Whoever runs the cell's trials
+ * in sequence holds it (run/experiment.hh's CellGraph: a runner
+ * worker, or one runExperiment() call) and lends it to one trial's
+ * TrialContext at a time, so it is never shared between threads.
  */
 
 #ifndef LF_SIM_SLOT_GRAPH_HH

@@ -268,7 +268,7 @@ TEST(DefenseFilterTest, PaddingMergesClassesMonotonically)
     EXPECT_EQ(rate.filterRate(3.5), 2.0);
 
     // Inactive defense: exact identity.
-    Defense none;
+    Defense none(DefenseSpec{}, 0);
     EXPECT_TRUE(none.inactive());
     EXPECT_EQ(none.filterTiming(123.456), 123.456);
     EXPECT_EQ(none.filterPower(0.789), 0.789);

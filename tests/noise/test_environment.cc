@@ -105,7 +105,7 @@ TEST(EnvQuiet, DefaultSpecIsQuietAndShapeKnobsStayQuiet)
 
 TEST(EnvQuiet, QuietHooksAreExactNoOps)
 {
-    Environment env; // default-constructed = quiet
+    Environment env(EnvironmentSpec{}, 0); // a default spec is quiet
     EXPECT_TRUE(env.quiet());
     EXPECT_EQ(env.perturbTiming(1234.5), 1234.5);
     EXPECT_EQ(env.perturbPower(0.75), 0.75);

@@ -2,7 +2,8 @@
  * @file
  * CLI parsing tests: strict number parsing (trailing garbage such as
  * "40x" must be rejected — std::stod used to silently read 40),
- * duplicate --set keys, the --sweep axis grammar, --shard selectors,
+ * duplicate --set keys, the --sweep axis grammar and its point cap,
+ * the grid flags lf_run and lf_campaign plan share, --shard selectors,
  * the --list-channels/--list-axes catalogs (rendered from the same
  * tables the parser uses, so they cannot drift), and the up-front
  * override-value validation ("--set repetition=2" fails at parse
@@ -183,6 +184,71 @@ TEST(SweepParsing, RejectsBadAxes)
 
     EXPECT_EQ(parseSweepArg("d=1:8:1", axes), "");
     EXPECT_FALSE(parseSweepArg("d=2|4", axes).empty()); // duplicate
+}
+
+TEST(SweepParsing, RejectsUnboundedRanges)
+{
+    // A billion points used to allocate until the process was killed,
+    // and (HI-LO)/STEP = +inf was cast to a count.
+    std::vector<SweepAxis> axes;
+    for (const char *text : {"d=1:1e9:1", "d=0:1e300:1e-300"}) {
+        EXPECT_NE(parseSweepArg(text, axes).find(
+                      "sweep axis \"d\": more than"),
+                  std::string::npos) << text;
+    }
+    EXPECT_TRUE(axes.empty());
+    EXPECT_EQ(parseSweepArg("d=1:" + std::to_string(kMaxSweepTrials) +
+                                ":1", axes), "");
+    EXPECT_EQ(axes.at(0).values.size(), kMaxSweepTrials);
+
+    // Axes within the bound each can still multiply past it: the
+    // grid's product is bounded too, with no size_t wrap-around.
+    SweepSpec sweep;
+    sweep.channels = {"nonmt-fast-eviction"};
+    sweep.cpus = {"Gold 6226"};
+    sweep.axes = axes;
+    EXPECT_EQ(validateSweepSpec(sweep), "");
+    sweep.trials = 2;
+    EXPECT_NE(validateSweepSpec(sweep).find("more than"),
+              std::string::npos);
+    sweep.trials = 1;
+    ASSERT_EQ(parseSweepArg("rounds=1:1e6:1", sweep.axes), "");
+    EXPECT_NE(validateSweepSpec(sweep).find("more than"),
+              std::string::npos);
+    ASSERT_EQ(parseSweepArg("M=1:1e6:1,N=1:1e6:1", sweep.axes), "");
+    EXPECT_NE(validateSweepSpec(sweep).find("more than"),
+              std::string::npos);
+}
+
+TEST(GridFlags, BuildOneSweepForBothClis)
+{
+    SweepSpec sweep;
+    for (const std::string text :
+         {"--channel=all", "--trials=3", "--seed=7", "--bits=12",
+          "--pattern=random", "--preamble=16", "--set=rounds=5",
+          "--sweep=d=2|4"}) {
+        const std::string flag = text.substr(0, text.find('='));
+        ASSERT_TRUE(isGridFlag(flag));
+        EXPECT_EQ(parseGridFlag(flag, text.substr(flag.size() + 1),
+                                sweep), "") << text;
+    }
+    EXPECT_FALSE(isGridFlag("--threads"));
+    expandGridNames(sweep); // no --cpu: every CPU model
+    EXPECT_EQ(sweep.channels, allChannelNames());
+    EXPECT_EQ(sweep.cpus.size(), allCpuModels().size());
+    EXPECT_EQ(sweep.trials, 3);
+    EXPECT_EQ(sweep.seed, 7u);
+    EXPECT_EQ(sweep.messageBits, 12u);
+    EXPECT_EQ(sweep.patterns[0], MessagePattern::Random);
+    EXPECT_EQ(sweep.preambleBits, 16);
+    EXPECT_EQ(sweep.baseOverrides.at("rounds"), 5.0);
+    EXPECT_EQ(sweep.axes.at(0).values, (std::vector<double>{2, 4}));
+
+    // The error texts both CLIs print; a rejected value changes nothing.
+    EXPECT_EQ(parseGridFlag("--bits", "0", sweep), "bad --bits value");
+    EXPECT_EQ(parseGridFlag("--pattern", "zigzag", sweep),
+              "unknown pattern \"zigzag\"");
+    EXPECT_EQ(sweep.messageBits, 12u);
 }
 
 TEST(ShardParsing, AcceptsValidSelectors)

@@ -1,17 +1,19 @@
 /**
  * @file
  * Streaming-runner identity tests: the streamed callback API, the
- * batch API, rebound vs fresh contexts, and 1/4/8 worker threads must
- * all produce bit-identical results over a registry-wide spec grid; the
- * incremental SweepAccumulator must reproduce aggregateSweep()
- * exactly; and resolveTrial() must subsume the old per-facet
- * resolution (errors and skips become rows, never aborts).
+ * batch API, a carried vs a fresh cell graph, and 1/4/8 worker
+ * threads must all produce bit-identical results over a
+ * registry-wide spec grid; the incremental SweepAccumulator must
+ * reproduce aggregateSweep() exactly; and resolveTrial() must
+ * subsume the old per-facet resolution (errors and skips become
+ * rows, never aborts).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -94,8 +96,8 @@ TEST(StreamingRunner, StreamMatchesBatchAtEveryThreadCount)
 
 TEST(StreamingRunner, FreshContextsMatchRunnerContexts)
 {
-    // Runner workers rebind one TrialContext per trial; a
-    // runExperiment(spec) call builds a fresh one.
+    // Runner workers carry one cell's slot graph from trial to
+    // trial; a runExperiment(spec) call starts an empty one.
     const auto &specs = registryGrid();
     std::vector<ExperimentResult> fresh;
     for (const ExperimentSpec &spec : specs)
@@ -103,14 +105,14 @@ TEST(StreamingRunner, FreshContextsMatchRunnerContexts)
     EXPECT_EQ(jsonOf(fresh), jsonOf(ExperimentRunner(4).run(specs)));
 }
 
-TEST(StreamingRunner, ReboundContextMatchesFreshContexts)
+TEST(StreamingRunner, CarriedCellGraphMatchesFreshRuns)
 {
-    // The worker-side primitive, without the pool: one TrialContext
-    // rebound across different specs must reproduce fresh contexts.
-    // The defended spec arms a domain-switch hook on its core, so the
-    // bind after it must uninstall that hook before the core goes (the
-    // ASan job runs this binary); the noisy spec perturbs the core from
-    // its environment; the repeated cell rebinds within one slot graph.
+    // One worker carries one slot graph across different specs; fresh
+    // runExperiment() calls start each from an empty graph. The
+    // defended spec arms a domain-switch hook on its core, which its
+    // Defense must uninstall before that core goes (the ASan job runs
+    // this binary); the noisy spec perturbs the core from its
+    // environment; the repeated cell runs within one carried graph.
     ExperimentSpec a;
     a.channel = "nonmt-fast-eviction";
     a.cpu = "Gold 6226";
@@ -140,16 +142,14 @@ TEST(StreamingRunner, ReboundContextMatchesFreshContexts)
 
     const std::vector<ExperimentSpec> specs = {a, defended, b, noisy,
                                                a, again};
-    TrialContext ctx;
-    std::vector<ExperimentResult> rebound;
+    const std::vector<ExperimentResult> carried =
+        ExperimentRunner(1).run(specs);
     std::vector<ExperimentResult> fresh;
-    for (const ExperimentSpec &spec : specs) {
-        rebound.push_back(runExperiment(spec, ctx));
+    for (const ExperimentSpec &spec : specs)
         fresh.push_back(runExperiment(spec));
-    }
-    for (const ExperimentResult &res : rebound)
+    for (const ExperimentResult &res : carried)
         EXPECT_TRUE(res.ok) << res.error;
-    EXPECT_EQ(jsonOf(rebound), jsonOf(fresh));
+    EXPECT_EQ(jsonOf(carried), jsonOf(fresh));
 }
 
 TEST(StreamingRunner, CallbackExceptionStopsAndPropagates)
@@ -460,7 +460,7 @@ TEST(StreamingRunner, CountersOnAndOffAreBitIdentical)
 
 TEST(ResolveTrial, ErrorsSkipsAndSuccessesAreDistinguished)
 {
-    TrialContext ctx;
+    std::optional<TrialContext> ctx;
     bool skipped = true;
 
     ExperimentSpec good;
@@ -468,15 +468,17 @@ TEST(ResolveTrial, ErrorsSkipsAndSuccessesAreDistinguished)
     good.cpu = "Gold 6226";
     EXPECT_EQ(resolveTrial(good, ctx, &skipped), "");
     EXPECT_FALSE(skipped);
-    EXPECT_TRUE(ctx.bound());
-    EXPECT_EQ(ctx.model().name, "Gold 6226");
-    EXPECT_EQ(ctx.config().d, 6); // registry default for eviction
+    ASSERT_TRUE(ctx.has_value());
+    EXPECT_EQ(ctx->model().name, "Gold 6226");
+    EXPECT_EQ(ctx->config().d, 6); // registry default for eviction
 
+    // A skip or an error builds no machine and drops the last one.
     ExperimentSpec skip;
     skip.channel = "mt-eviction";
     skip.cpu = "E-2288G"; // SMT disabled
     EXPECT_NE(resolveTrial(skip, ctx, &skipped), "");
     EXPECT_TRUE(skipped);
+    EXPECT_FALSE(ctx.has_value());
 
     ExperimentSpec bad;
     bad.channel = "nonmt-fast-eviction";
@@ -485,13 +487,15 @@ TEST(ResolveTrial, ErrorsSkipsAndSuccessesAreDistinguished)
     const std::string error = resolveTrial(bad, ctx, &skipped);
     EXPECT_NE(error.find("deadlock_kcycles"), std::string::npos);
     EXPECT_FALSE(skipped);
+    EXPECT_FALSE(ctx.has_value());
 
     // The defense's model-level mitigations land in the context's
     // model copy (the resolution pipeline's documented order).
     ExperimentSpec defended = good;
     defended.overrides["defense.rapl_quantum_uj"] = 4096;
     EXPECT_EQ(resolveTrial(defended, ctx, &skipped), "");
-    EXPECT_GE(ctx.model().rapl.quantumMicroJoules, 4096.0);
+    ASSERT_TRUE(ctx.has_value());
+    EXPECT_GE(ctx->model().rapl.quantumMicroJoules, 4096.0);
 }
 
 TEST(SweepAccumulator, MatchesAggregateSweepOnAShardedSweep)

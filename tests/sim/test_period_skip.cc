@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
 
 #include "common/rng.hh"
@@ -26,6 +27,7 @@
 #include "sim/cpu_model.hh"
 #include "sim/executor.hh"
 #include "sim/period_skip.hh"
+#include "sim/slot_graph.hh"
 
 namespace lf {
 namespace {
@@ -79,10 +81,11 @@ BitOutcome
 sendBit(const ExperimentSpec &spec, bool bit, bool skip)
 {
     PeriodSkipScope scope(skip);
-    TrialContext ctx;
-    EXPECT_EQ(resolveTrial(spec, ctx), "");
-    auto channel = makeChannel(spec.channel, ctx);
-    channel->prepareMachine(ctx);
+    SlotGraph graph; // a fresh cell graph, as a runner trial has
+    std::optional<TrialContext> ctx;
+    EXPECT_EQ(resolveTrial(spec, ctx, nullptr, &graph), "");
+    auto channel = makeChannel(spec.channel, *ctx);
+    channel->prepareMachine(*ctx);
     SlotRaw raw;
     channel->transmitBit(!bit, raw);
     channel->measure(raw);
@@ -94,7 +97,7 @@ sendBit(const ExperimentSpec &spec, bool bit, bool skip)
     out.observable = channel->measure(raw);
     out.draws = rngThreadDraws() - draws;
 
-    const Core &core = ctx.core();
+    const Core &core = ctx->core();
     out.image = core.stateImage();
     Core restored(core.model(), core.seed());
     restored.loadStateImage(core.stateImage());

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,20 +113,23 @@ TEST(SlotGraph, EveryStoredEdgeReproducesFromItsNode)
             // entries and exits.
             if (isSgxMt(channel))
                 base.overrides.erase("model.sgxEntryJitterStddev");
-            TrialContext ctx;
+            if (!channelSupportedOn(channel, *findCpuModel(cpu)))
+                continue;
+            CellGraph cell;
             for (const ExperimentSpec &spec : expandTrials(base, 3)) {
-                const ExperimentResult res = runExperiment(spec, ctx);
+                const ExperimentResult res = runExperiment(spec, cell);
                 ASSERT_TRUE(res.ok || res.skipped) << res.error;
             }
-            const SlotGraph *graph = ctx.slotGraph();
-            if (!channelSupportedOn(channel, ctx.model()))
-                continue;
-            ASSERT_NE(graph, nullptr) << channel;
+            const SlotGraph *graph = &cell.graph;
+            ASSERT_FALSE(cell.key.empty()) << channel;
             ASSERT_GT(graph->nodes(), 1u) << channel << " on " << cpu;
 
             // Any counters a real run reached will do as the clocks.
+            std::optional<TrialContext> ran;
+            ASSERT_EQ(resolveTrial(base, ran), "");
+            makeChannel(channel, *ran)->transmit(specMessage(base), *ran);
             const std::vector<std::uint64_t> clocks =
-                countersOf(ctx.core());
+                countersOf(ran->core());
             std::vector<std::uint64_t> key;
             for (std::size_t node = 0; node < graph->nodes(); ++node) {
                 for (const bool bit : {false, true}) {
@@ -135,12 +139,14 @@ TEST(SlotGraph, EveryStoredEdgeReproducesFromItsNode)
                     const std::string what = channel + " on " + cpu +
                         " node " + std::to_string(node) + " bit " +
                         (bit ? "1" : "0");
-                    TrialContext fresh;
-                    ASSERT_EQ(resolveTrial(base, fresh), "");
-                    auto ch = makeChannel(channel, fresh);
-                    ch->prepareMachine(fresh);
+                    SlotGraph empty;
+                    std::optional<TrialContext> fresh;
+                    ASSERT_EQ(resolveTrial(base, fresh, nullptr, &empty),
+                              "");
+                    auto ch = makeChannel(channel, *fresh);
+                    ch->prepareMachine(*fresh);
                     graph->nodeKey(node, key);
-                    Core &core = fresh.core();
+                    Core &core = fresh->core();
                     core.loadCanonicalKey(key, clocks);
                     ASSERT_EQ(keyOf(core), key) << what;
 
@@ -227,7 +233,7 @@ struct TrialEnd
     std::string row;
 };
 
-/** Two trials of one cell in one context: first a message whose 1s
+/** Two trials of one cell on one slot graph: first a message whose 1s
  *  come late, then one that starts with them, so the second trial
  *  reaches states the first recorded at later cycles. */
 std::vector<TrialEnd>
@@ -240,12 +246,13 @@ lateThenEarly(const std::string &channel, bool graph,
     late.insert(late.end(), {true, true, false, true});
     std::vector<bool> early = {true, true, false, true, false};
     std::vector<TrialEnd> ends;
-    TrialContext ctx;
+    SlotGraph cell;
+    std::optional<TrialContext> ctx;
     for (const std::vector<bool> *message : {&late, &early}) {
-        EXPECT_EQ(resolveTrial(spec, ctx), "");
-        auto ch = makeChannel(channel, ctx);
-        const ChannelResult result = ch->transmit(*message, ctx);
-        const Core &core = ctx.core();
+        EXPECT_EQ(resolveTrial(spec, ctx, nullptr, &cell), "");
+        auto ch = makeChannel(channel, *ctx);
+        const ChannelResult result = ch->transmit(*message, *ctx);
+        const Core &core = ctx->core();
         obs::CounterSet counters = obs::collectCoreCounters(core);
         counters.periodSkips = 0;
         counters.skippedPeriodCycles = 0;
@@ -256,7 +263,7 @@ lateThenEarly(const std::string &channel, bool graph,
                             std::to_string(result.meanObs1) + "|" +
                             std::to_string(result.errorRate)});
         if (hits != nullptr)
-            *hits = ctx.slotTally().hits;
+            *hits = ctx->slotTally().hits;
     }
     return ends;
 }

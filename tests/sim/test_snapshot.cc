@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/channel_registry.hh"
 #include "core/trial_context.hh"
 #include "run/experiment.hh"
+#include "sim/slot_graph.hh"
 #include "sim/snapshot.hh"
 
 namespace lf {
@@ -38,19 +41,21 @@ quietSpec()
     return spec;
 }
 
-/** Resolve @p spec and run just the calibration phase. */
+/** Resolve @p spec and run just the calibration phase, with a fresh
+ *  cell graph as a runner trial has. */
 CovertChannel::Calibration
-calibrationOf(const ExperimentSpec &spec, TrialContext &ctx)
+calibrationOf(const ExperimentSpec &spec)
 {
-    EXPECT_EQ(resolveTrial(spec, ctx), "");
-    auto channel = makeChannel(spec.channel, ctx);
-    return channel->calibrate(ctx);
+    SlotGraph graph;
+    std::optional<TrialContext> ctx;
+    EXPECT_EQ(resolveTrial(spec, ctx, nullptr, &graph), "");
+    auto channel = makeChannel(spec.channel, *ctx);
+    return channel->calibrate(*ctx);
 }
 
 TEST(SnapshotTripwire, QuietConfigurationLeavesRngUntouched)
 {
-    TrialContext ctx;
-    const auto calib = calibrationOf(quietSpec(), ctx);
+    const auto calib = calibrationOf(quietSpec());
     EXPECT_TRUE(calib.rngUntouched);
 }
 
@@ -60,16 +65,14 @@ TEST(SnapshotTripwire, ModelNoiseTrips)
     // zeroing overrides every measurement draws.
     ExperimentSpec spec = quietSpec();
     spec.overrides.clear();
-    TrialContext ctx;
-    EXPECT_FALSE(calibrationOf(spec, ctx).rngUntouched);
+    EXPECT_FALSE(calibrationOf(spec).rngUntouched);
 }
 
 TEST(SnapshotTripwire, StochasticEnvironmentTrips)
 {
     ExperimentSpec spec = quietSpec();
     spec.overrides["env.corunner_intensity"] = 0.5;
-    TrialContext ctx;
-    EXPECT_FALSE(calibrationOf(spec, ctx).rngUntouched);
+    EXPECT_FALSE(calibrationOf(spec).rngUntouched);
 }
 
 TEST(SnapshotTripwire, StochasticDefenseTrips)
@@ -77,8 +80,7 @@ TEST(SnapshotTripwire, StochasticDefenseTrips)
     ExperimentSpec spec = quietSpec();
     spec.overrides["defense.randomize_sets"] = 1;
     spec.overrides["defense.randomize_epoch_slots"] = 1;
-    TrialContext ctx;
-    EXPECT_FALSE(calibrationOf(spec, ctx).rngUntouched);
+    EXPECT_FALSE(calibrationOf(spec).rngUntouched);
 }
 
 TEST(SnapshotTripwire, DeterministicDefenseDoesNotTrip)
@@ -88,8 +90,7 @@ TEST(SnapshotTripwire, DeterministicDefenseDoesNotTrip)
     // cells stay snapshottable.
     ExperimentSpec spec = quietSpec();
     spec.overrides["defense.partition_dsb"] = 1;
-    TrialContext ctx;
-    EXPECT_TRUE(calibrationOf(spec, ctx).rngUntouched);
+    EXPECT_TRUE(calibrationOf(spec).rngUntouched);
 }
 
 TEST(SnapshotCache, PreambleBitsIdenticalOnColdAndRestorePaths)

@@ -106,7 +106,6 @@ class ChunkTable
     const Chunk *get(Addr pc) const;
 
     std::size_t size() const { return chunks_.size(); }
-    int lineUops() const { return lineUops_; }
 
   private:
     Chunk build(const Program &program, Addr pc);

@@ -71,9 +71,6 @@ struct StaticInst
     /** Address of the byte after this instruction. */
     Addr nextAddr() const { return addr + length; }
 
-    /** Whether decoding this instruction needs the complex decoder. */
-    bool isComplex() const { return uops > 1; }
-
     /** Debug rendering, e.g. "0x41880: mov (5B, 1uop)". */
     std::string toString() const;
 };

@@ -1,5 +1,6 @@
 #include "run/experiment.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -205,31 +206,6 @@ resolveDefense(const ExperimentSpec &spec, DefenseSpec &defense)
     return validateDefenseSpec(defense);
 }
 
-/**
- * The sweep-cell key of the warm snapshot and the slot graph: exactly
- * the spec fields that determine the post-calibration machine state.
- * Seed, trial index, message bits/pattern and label are deliberately
- * absent — the snapshot is only ever captured when calibration proved
- * itself seed-independent (the RNG tripwire), and the message phase
- * runs live per trial.
- * Mirrors the PreparedChain key discipline: resolved identity, not
- * incidental identity. Overrides carry the model/env/defense folds;
- * std::map iteration keeps the rendering canonical.
- */
-std::string
-warmSnapshotKey(const ExperimentSpec &spec)
-{
-    std::ostringstream key;
-    key << spec.channel << '|' << spec.cpu << "|pre="
-        << spec.preambleBits;
-    char buf[40];
-    for (const auto &[name, value] : spec.overrides) {
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        key << '|' << name << '=' << buf;
-    }
-    return key.str();
-}
-
 /** Resolve all four facets without binding anything. */
 std::string
 resolveFacets(const ExperimentSpec &spec, CpuModel &model,
@@ -353,7 +329,46 @@ runTrial(const ExperimentSpec &spec, const std::string &cell_key,
     out.ok = true;
 }
 
+/** Equal as warmSnapshotKey() renders them: %.17g round-trips every
+ *  double, so the strings agree exactly when the values are equal
+ *  with the same sign (0 and -0 differ) or both NaN of one sign. */
+bool
+sameValue(double a, double b)
+{
+    if (std::isnan(a) || std::isnan(b))
+        return std::isnan(a) && std::isnan(b) &&
+            std::signbit(a) == std::signbit(b);
+    return a == b && std::signbit(a) == std::signbit(b);
+}
+
 } // namespace
+
+std::string
+warmSnapshotKey(const ExperimentSpec &spec)
+{
+    std::ostringstream key;
+    key << spec.channel << '|' << spec.cpu << "|pre="
+        << spec.preambleBits;
+    char buf[40];
+    for (const auto &[name, value] : spec.overrides) {
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        key << '|' << name << '=' << buf;
+    }
+    return key.str();
+}
+
+bool
+sameCell(const ExperimentSpec &a, const ExperimentSpec &b)
+{
+    return a.channel == b.channel && a.cpu == b.cpu &&
+        a.preambleBits == b.preambleBits &&
+        std::equal(a.overrides.begin(), a.overrides.end(),
+                   b.overrides.begin(), b.overrides.end(),
+                   [](const auto &x, const auto &y) {
+                       return x.first == y.first &&
+                           sameValue(x.second, y.second);
+                   });
+}
 
 ExperimentResult
 runExperiment(const ExperimentSpec &spec)

@@ -136,6 +136,25 @@ std::string resolveTrial(const ExperimentSpec &spec,
  */
 std::string validateSpec(const ExperimentSpec &spec);
 
+/**
+ * The sweep-cell key of the warm snapshot and the slot graph: exactly
+ * the spec fields that determine the post-calibration machine state.
+ * Seed, trial index, message bits/pattern and label are deliberately
+ * absent — the snapshot is only ever captured when calibration proved
+ * itself seed-independent (the RNG tripwire), and the message phase
+ * runs live per trial.
+ * Mirrors the PreparedChain key discipline: resolved identity, not
+ * incidental identity. Overrides carry the model/env/defense folds;
+ * std::map iteration keeps the rendering canonical.
+ */
+std::string warmSnapshotKey(const ExperimentSpec &spec);
+
+/** Whether @p a and @p b lie in one sweep cell: the same as
+ *  warmSnapshotKey(a) == warmSnapshotKey(b), without building the
+ *  strings. The runner uses it to hand a worker a run of one cell's
+ *  trials. */
+bool sameCell(const ExperimentSpec &a, const ExperimentSpec &b);
+
 /** The slot graph of one sweep cell, carried from trial to trial by
  *  a runner worker (or held by one runExperiment() call). */
 struct CellGraph

@@ -5,8 +5,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -48,11 +48,10 @@ ExperimentRunner::ExperimentRunner(int threads) : threads_(threads)
 std::size_t
 ExperimentRunner::reorderWindowFor(int workers)
 {
-    // Large enough that workers keep streaming while the consumer
-    // handles a burst, small enough that in-flight memory stays
-    // O(threads).
-    return std::max<std::size_t>(
-        64, static_cast<std::size_t>(workers < 1 ? 1 : workers) * 8);
+    // One claim unit of 128 tickets per worker: room for a run of
+    // one cell on every worker, and in-flight memory stays O(threads)
+    // (an empty slot is one pointer).
+    return static_cast<std::size_t>(workers < 1 ? 1 : workers) * 128;
 }
 
 void
@@ -135,51 +134,84 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     // calling thread is the only consumer and delivers in spec order.
     // Each side waits on its own condition variable and is notified
     // only while it is actually parked.
+    //
+    // A worker claims a run of consecutive tickets of one sweep cell,
+    // so it keeps that cell's slot graph for the whole run and no two
+    // workers calibrate the same cell cold at once. A run stops at the
+    // cell's end, at its worker's share of the window, and at an even
+    // share of the tickets left (so one cell still spreads over every
+    // worker). A run that would cross the window's edge waits for room
+    // instead of being cut short, so where runs begin and end depends
+    // on the batch and the worker count alone, never on timing.
     const std::size_t window = reorderWindowFor(workers);
+    const std::size_t per_worker =
+        window / static_cast<std::size_t>(workers);
+    std::vector<std::size_t> cellEnd(n); // end of the cell run at i
+    cellEnd[n - 1] = n;
+    for (std::size_t i = n - 1; i-- > 0;)
+        cellEnd[i] = sameCell(specs[i], specs[i + 1]) ? cellEnd[i + 1]
+                                                       : i + 1;
+    const auto run_end = [&](std::size_t begin) {
+        const std::size_t share = std::max<std::size_t>(
+            1, (n - begin) / static_cast<std::size_t>(workers));
+        return std::min({cellEnd[begin], begin + per_worker,
+                         begin + share});
+    };
     std::mutex mutex; // guards the state below and the park counts
     std::condition_variable resultReady; // the consumer parks here
     std::condition_variable roomFree;    // workers park here
-    std::vector<std::optional<ExperimentResult>> slots(window);
+    std::vector<std::unique_ptr<ExperimentResult>> slots(window);
     std::size_t next = 0;      // next ticket to claim
     std::size_t delivered = 0; // results handed to the callback
     bool cancelled = false;
     bool consumerParked = false;
     int parkedWorkers = 0;
+    // Whether a worker may go on, under the lock: to leave, or to
+    // claim the next run, which must fit inside the window.
+    const auto can_go_on = [&] {
+        return cancelled || next >= n ||
+            run_end(next) <= delivered + window;
+    };
 
     auto work = [&]() {
         CellGraph cell;
         std::unique_lock<std::mutex> lock(mutex);
         for (;;) {
-            if (!cancelled && next < n && next >= delivered + window) {
-                // A full window ahead of delivery: park until the
-                // consumer makes room.
+            if (!can_go_on()) {
+                // The next run reaches past the window: park until
+                // the consumer makes room.
                 obs::TraceScope park_span("worker_park");
                 ++metrics.workerParks;
                 ++parkedWorkers;
-                roomFree.wait(lock, [&] {
-                    return cancelled || next >= n ||
-                        next < delivered + window;
-                });
+                roomFree.wait(lock, can_go_on);
                 --parkedWorkers;
             }
             if (cancelled || next >= n)
                 return;
-            const std::size_t i = next++;
+            const std::size_t begin = next;
+            const std::size_t end = run_end(begin);
             const std::size_t seen = delivered;
-            lock.unlock();
-            if (trialProbe_)
-                trialProbe_(i, seen);
-            const std::uint64_t trial_start =
-                obs::traceEnabled() ? obs::traceNowUs() : 0;
-            ExperimentResult result = runOne(specs[i], cell);
-            obs::traceComplete("trial", trial_start, i, true);
-            lock.lock();
-            std::optional<ExperimentResult> &slot = slots[i % window];
-            lf_assert(!slot, "ticket %zu would overwrite an undelivered"
-                      " result", i);
-            slot = std::move(result);
-            if (consumerParked && i == delivered)
-                resultReady.notify_one();
+            next = end;
+            for (std::size_t i = begin; i < end; ++i) {
+                lock.unlock();
+                if (trialProbe_)
+                    trialProbe_(i, seen);
+                const std::uint64_t trial_start =
+                    obs::traceEnabled() ? obs::traceNowUs() : 0;
+                auto result = std::make_unique<ExperimentResult>(
+                    runOne(specs[i], cell));
+                obs::traceComplete("trial", trial_start, i, true);
+                lock.lock();
+                std::unique_ptr<ExperimentResult> &slot =
+                    slots[i % window];
+                lf_assert(!slot, "ticket %zu would overwrite an"
+                          " undelivered result", i);
+                slot = std::move(result);
+                if (consumerParked && i == delivered)
+                    resultReady.notify_one();
+                if (cancelled)
+                    return;
+            }
         }
     };
 
@@ -201,35 +233,35 @@ ExperimentRunner::run(const std::vector<ExperimentSpec> &specs,
     try {
         for (std::size_t d = 0; d < n; ++d) {
             std::unique_lock<std::mutex> lock(mutex);
-            std::optional<ExperimentResult> &slot = slots[d % window];
+            std::unique_ptr<ExperimentResult> &slot = slots[d % window];
             if (!slot) {
                 obs::TraceScope park_span("consumer_park");
                 ++metrics.consumerParks;
                 consumerParked = true;
-                resultReady.wait(lock, [&] { return slot.has_value(); });
+                resultReady.wait(lock, [&] { return slot != nullptr; });
                 consumerParked = false;
             }
-            const ExperimentResult result = std::move(*slot);
-            slot.reset();
+            const std::unique_ptr<ExperimentResult> result =
+                std::move(slot);
             // Window occupancy at this delivery: claimed tickets not
             // yet handed to the callback.
             const std::size_t occ = next - delivered;
             ++delivered;
-            // Room for one more ticket; wake the parked workers so
-            // one of them claims it while the callback runs.
-            if (parkedWorkers > 0) {
+            // Room for the next run; wake the parked workers so one
+            // of them claims it while the callback runs.
+            if (parkedWorkers > 0 && can_go_on()) {
                 ++metrics.wakeBroadcasts;
                 roomFree.notify_all();
             }
             lock.unlock();
             obs::traceCounter("window_occupancy", occ);
             if (metricsSink_ != nullptr) {
-                count_outcome(result);
+                count_outcome(*result);
                 ++metrics.windowOccupancy[std::min<std::size_t>(
                     occ * obs::RunMetrics::kOccupancyBuckets / window,
                     obs::RunMetrics::kOccupancyBuckets - 1)];
             }
-            on_result(result);
+            on_result(*result);
         }
     } catch (...) {
         shutdown();

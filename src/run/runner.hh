@@ -6,7 +6,11 @@
  * spec (seed included), so the runner fans a batch out across a
  * std::thread pool. Every trial builds its own TrialContext; each
  * worker carries only the slot graph of the sweep cell it is in
- * (CellGraph) from one trial to the next.
+ * (CellGraph) from one trial to the next. A worker claims a run of
+ * consecutive trials of one cell (sameCell()), capped at its share of
+ * the window and an even share of what is left, so it learns that
+ * cell's graph and cold calibration once rather than every worker
+ * learning them in turn.
  *
  * Results *stream*: run(specs, callback) delivers each result on the
  * calling thread in spec order, as soon as it and every earlier result
@@ -58,7 +62,8 @@ class ExperimentRunner
      * Test/diagnostic hook, called on the claiming worker right
      * before each trial starts as probe(index, delivered): @p index
      * is the spec about to run, @p delivered the number of results
-     * handed to the callback so far. The claim rule guarantees
+     * handed to the callback when the worker claimed the run holding
+     * @p index (on one thread: so far). The claim rule guarantees
      * index < delivered + reorderWindow() — the probe is how the
      * streaming tests assert workers never outrun the window. Must be
      * thread-safe; null (the default) disables it.

@@ -64,7 +64,6 @@ class Core
      * no-op on SMT-disabled models.
      */
     void setStaticPartition(bool on);
-    bool staticPartition() const { return staticPartition_; }
 
     /**
      * Mitigation hook (src/defense): every setProgram() is a domain

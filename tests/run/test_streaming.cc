@@ -3,17 +3,23 @@
  * Streaming-runner identity tests: the streamed callback API, the
  * batch API, a carried vs a fresh cell graph, and 1/4/8 worker
  * threads must all produce bit-identical results over a
- * registry-wide spec grid; the incremental SweepAccumulator must
- * reproduce aggregateSweep() exactly; and resolveTrial() must
- * subsume the old per-facet resolution (errors and skips become
- * rows, never aborts).
+ * registry-wide spec grid; a worker must claim runs of one sweep
+ * cell (sameCell(), which must agree with warmSnapshotKey()) while a
+ * single cell still spreads over every worker; the incremental
+ * SweepAccumulator must reproduce aggregateSweep() exactly; and
+ * resolveTrial() must subsume the old per-facet resolution (errors
+ * and skips become rows, never aborts).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -253,6 +259,145 @@ TEST(StreamingRunner, WorkersNeverOutrunTheReorderWindow)
         EXPECT_EQ(streamAgainstWindow(stressed, many, 64), serial)
             << threads;
     }
+}
+
+/** The thread that ran each ticket of @p specs on @p runner (read
+ *  through the trial probe), and the batch's JSON bytes. */
+std::vector<std::thread::id>
+ticketThreads(ExperimentRunner &runner,
+              const std::vector<ExperimentSpec> &specs, std::string &json)
+{
+    // Each ticket is probed once, by the worker that runs it, so the
+    // writes land on distinct elements; run() joins before we read.
+    std::vector<std::thread::id> thread_of(specs.size());
+    runner.setTrialProbe([&](std::size_t index, std::size_t) {
+        thread_of[index] = std::this_thread::get_id();
+    });
+    json = jsonOf(runner.run(specs));
+    runner.setTrialProbe(nullptr);
+    return thread_of;
+}
+
+TEST(StreamingRunner, WorkersClaimRunsOfOneCell)
+{
+    // A worker claims a run of one cell's tickets, so it learns the
+    // cell's slot graph and cold calibration once. Only the last
+    // `workers` cells may be split, by the even share of the tickets
+    // left; every earlier cell runs on one thread. The runs depend on
+    // the batch and worker count alone, so this holds on every
+    // schedule. 16 quiet cells (four families on every CPU; mt on
+    // E-2288G gives skip rows) of 32 trials each.
+    constexpr int kTrials = 32;
+    std::vector<ExperimentSpec> specs;
+    for (const char *channel : {"nonmt-fast-eviction",
+                                "nonmt-fast-misalignment", "mt-eviction",
+                                "slow-switch"}) {
+        for (const CpuModel *cpu : allCpuModels()) {
+            ExperimentSpec spec;
+            spec.channel = channel;
+            spec.cpu = cpu->name;
+            spec.seed = 41;
+            spec.messageBits = 4;
+            spec.overrides = {{"model.noiseStddevCycles", 0},
+                              {"model.spikeProb", 0},
+                              {"model.jitterPerKcycle", 0}};
+            for (ExperimentSpec &trial : expandTrials(spec, kTrials))
+                specs.push_back(std::move(trial));
+        }
+    }
+    const std::size_t cells = specs.size() / kTrials;
+    ASSERT_EQ(cells, 16u);
+
+    const std::string serial = jsonOf(ExperimentRunner(1).run(specs));
+    for (const int workers : {2, 4}) {
+        ExperimentRunner runner(workers);
+        std::string json;
+        const auto thread_of = ticketThreads(runner, specs, json);
+        EXPECT_EQ(json, serial) << workers << " workers";
+        for (std::size_t c = 0; c + workers < cells; ++c) {
+            const auto first = thread_of.begin() + c * kTrials;
+            const std::set<std::thread::id> threads(first,
+                                                    first + kTrials);
+            EXPECT_EQ(threads.size(), 1u)
+                << specs[c * kTrials].channel << " on "
+                << specs[c * kTrials].cpu << ", " << workers
+                << " workers";
+        }
+    }
+}
+
+TEST(StreamingRunner, OneCellStillSpreadsOverWorkers)
+{
+    // The even-share cap: a batch of a single cell must not run on
+    // one worker while the others idle.
+    ExperimentSpec spec;
+    spec.channel = "power-eviction";
+    spec.cpu = "E-2174G";
+    spec.messageBits = 32;
+    const std::vector<ExperimentSpec> specs = expandTrials(spec, 16);
+    ExperimentRunner runner(4);
+    std::string json;
+    const auto thread_of = ticketThreads(runner, specs, json);
+    EXPECT_GT(std::set<std::thread::id>(thread_of.begin(),
+                                        thread_of.end())
+                  .size(),
+              1u);
+    EXPECT_EQ(json, jsonOf(ExperimentRunner(1).run(specs)));
+}
+
+TEST(SameCell, AgreesWithWarmSnapshotKey)
+{
+    // sameCell() is the runner's string-free cell test; it must split
+    // a batch exactly where warmSnapshotKey() does. The seed, trial,
+    // message and label vary per spec and must not matter.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<std::map<std::string, double>> overrides = {
+        {},
+        {{"d", 6}},
+        {{"d", 7}},
+        {{"d", 0.0}},
+        {{"d", -0.0}},
+        {{"d", nan}},
+        {{"d", -nan}},
+        {{"d", 6}, {"model.lcpStall", 4}},
+        {{"model.lcpStall", 4}},
+        {{"env.corunner_intensity", 0.1}},
+        {{"env.corunner_intensity", 0.1 + 1e-18}},
+        {{"env.corunner_intensity", std::nextafter(0.1, 1.0)}},
+    };
+    std::vector<ExperimentSpec> specs;
+    for (const std::string &channel : allChannelNames()) {
+        for (const CpuModel *cpu : allCpuModels()) {
+            for (const auto &map : overrides) {
+                for (const int preamble : {-1, 8}) {
+                    ExperimentSpec spec;
+                    spec.channel = channel;
+                    spec.cpu = cpu->name;
+                    spec.preambleBits = preamble;
+                    spec.overrides = map;
+                    spec.seed = specs.size();
+                    spec.trial = static_cast<int>(specs.size() % 3);
+                    spec.messageBits = 1 + specs.size() % 5;
+                    spec.label = std::to_string(specs.size() % 2);
+                    specs.push_back(std::move(spec));
+                }
+            }
+        }
+    }
+    std::vector<std::string> keys;
+    for (const ExperimentSpec &spec : specs)
+        keys.push_back(warmSnapshotKey(spec));
+    std::size_t same = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        for (std::size_t j = 0; j < specs.size(); ++j) {
+            const bool by_key = keys[i] == keys[j];
+            ASSERT_EQ(sameCell(specs[i], specs[j]), by_key)
+                << keys[i] << " vs " << keys[j];
+            same += by_key;
+        }
+    }
+    // Besides the diagonal, 0.1 and 0.1 + 1e-18 are one double.
+    EXPECT_GT(same, specs.size());
 }
 
 TEST(StreamingRunner, ProgramCacheOnAndOffAreBitIdentical)

@@ -1,5 +1,7 @@
 #include "common/types.hh"
 
+#include <limits>
+
 namespace lf {
 
 const char *
@@ -11,6 +13,16 @@ toString(DeliveryPath path)
       case DeliveryPath::LSD: return "LSD";
     }
     return "?";
+}
+
+int
+clampToInt(double value)
+{
+    if (value >= static_cast<double>(std::numeric_limits<int>::max()))
+        return std::numeric_limits<int>::max();
+    if (!(value > static_cast<double>(std::numeric_limits<int>::min())))
+        return std::numeric_limits<int>::min();
+    return static_cast<int>(value);
 }
 
 } // namespace lf

@@ -50,6 +50,11 @@ const char *toString(DeliveryPath path);
 /** Number of distinct delivery paths. */
 constexpr int kNumDeliveryPaths = 3;
 
+/** @p value truncated to an int, saturating at int's limits (NaN
+ *  gives the minimum): casting a double outside int's range is UB,
+ *  and override values can be anything. */
+int clampToInt(double value);
+
 } // namespace lf
 
 #endif // LF_COMMON_TYPES_HH

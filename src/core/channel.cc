@@ -115,8 +115,8 @@ SlotWalk
 CovertChannel::slotWalk(TrialContext &ctx)
 {
     // Slots replay only when their start leaves the core alone and
-    // draws nothing, and no domain-switch hook counts switches.
-    const bool replay = replaysSlots() && core_.periodSkipAllowed() &&
+    // draws nothing.
+    const bool replay = replaysSlots() &&
         !ctx.environment().slotActsOnCore() &&
         !ctx.defense().slotActsOnCore();
     return SlotWalk(core_, replay ? ctx.slotGraph() : nullptr,

@@ -1,9 +1,9 @@
 #include "core/channel_registry.hh"
 
-#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 #include "core/mt_channels.hh"
 #include "core/nonmt_channels.hh"
 #include "core/trial_context.hh"
@@ -334,41 +334,31 @@ bool
 applyChannelOverride(ChannelConfig &cfg, ChannelExtras &extras,
                      const std::string &key, double value)
 {
-    // Deferred and clamped: casting a double outside int's range is
-    // UB, the Addr-typed keys legitimately take values above INT_MAX,
-    // and CLI-supplied values can be anything.
-    const auto as_int = [value] {
-        if (value >= static_cast<double>(
-                std::numeric_limits<int>::max()))
-            return std::numeric_limits<int>::max();
-        if (value <= static_cast<double>(
-                std::numeric_limits<int>::min()))
-            return std::numeric_limits<int>::min();
-        return static_cast<int>(value);
-    };
-    if (key == "targetSet") cfg.targetSet = as_int();
-    else if (key == "altSet") cfg.altSet = as_int();
-    else if (key == "N") cfg.N = as_int();
-    else if (key == "d") cfg.d = as_int();
-    else if (key == "M") cfg.M = as_int();
-    else if (key == "r") cfg.r = as_int();
-    else if (key == "rounds") cfg.rounds = as_int();
-    else if (key == "initIters") cfg.initIters = as_int();
+    // Int keys saturate; the Addr-typed bases may exceed INT_MAX
+    // (resolveConfig() range-checks them first).
+    if (key == "targetSet") cfg.targetSet = clampToInt(value);
+    else if (key == "altSet") cfg.altSet = clampToInt(value);
+    else if (key == "N") cfg.N = clampToInt(value);
+    else if (key == "d") cfg.d = clampToInt(value);
+    else if (key == "M") cfg.M = clampToInt(value);
+    else if (key == "r") cfg.r = clampToInt(value);
+    else if (key == "rounds") cfg.rounds = clampToInt(value);
+    else if (key == "initIters") cfg.initIters = clampToInt(value);
     else if (key == "stealthy") cfg.stealthy = value != 0.0;
-    else if (key == "mtSteps") cfg.mtSteps = as_int();
-    else if (key == "mtMeasPerStep") cfg.mtMeasPerStep = as_int();
-    else if (key == "mtSenderIters") cfg.mtSenderIters = as_int();
-    else if (key == "preambleBits") cfg.preambleBits = as_int();
-    else if (key == "repetition") cfg.repetition = as_int();
+    else if (key == "mtSteps") cfg.mtSteps = clampToInt(value);
+    else if (key == "mtMeasPerStep") cfg.mtMeasPerStep = clampToInt(value);
+    else if (key == "mtSenderIters") cfg.mtSenderIters = clampToInt(value);
+    else if (key == "preambleBits") cfg.preambleBits = clampToInt(value);
+    else if (key == "repetition") cfg.repetition = clampToInt(value);
     else if (key == "receiverBase")
         cfg.receiverBase = static_cast<Addr>(value);
     else if (key == "senderBase")
         cfg.senderBase = static_cast<Addr>(value);
-    else if (key == "powerRounds") extras.power.rounds = as_int();
-    else if (key == "sgxRounds") extras.sgx.rounds = as_int();
-    else if (key == "sgxMtSteps") extras.sgx.mtSteps = as_int();
+    else if (key == "powerRounds") extras.power.rounds = clampToInt(value);
+    else if (key == "sgxRounds") extras.sgx.rounds = clampToInt(value);
+    else if (key == "sgxMtSteps") extras.sgx.mtSteps = clampToInt(value);
     else if (key == "sgxMtMeasPerStep")
-        extras.sgx.mtMeasPerStep = as_int();
+        extras.sgx.mtMeasPerStep = clampToInt(value);
     else return false;
     return true;
 }

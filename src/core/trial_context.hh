@@ -95,8 +95,6 @@ class TrialContext
     ChannelConfig config_;
     ChannelExtras extras_;
     int preambleBits_;
-    /** Declared before defense_ so the Defense (whose destructor
-     *  uninstalls its core hooks) is destroyed first. */
     Core core_;
     Environment env_;
     Defense defense_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 #include "sim/core.hh"
 #include "sim/cpu_model.hh"
 
@@ -20,10 +21,17 @@ DefenseSpec::inactive() const
 std::string
 validateDefenseSpec(const DefenseSpec &spec)
 {
-    if (spec.flush.switchQuantum < 0)
-        return "defense.flush_switch_quantum must be >= 0";
-    if (spec.randomize.epochSlots < 1)
-        return "defense.randomize_epoch_slots must be >= 1";
+    // Bounded above so an override beyond int's range, which
+    // applyDefenseOverride() saturates, is an error.
+    constexpr int kMaxCount = 1 << 20;
+    if (spec.flush.switchQuantum < 0 ||
+        spec.flush.switchQuantum > kMaxCount) {
+        return "defense.flush_switch_quantum must be in [0, 2^20]";
+    }
+    if (spec.randomize.epochSlots < 1 ||
+        spec.randomize.epochSlots > kMaxCount) {
+        return "defense.randomize_epoch_slots must be in [1, 2^20]";
+    }
     if (spec.smoothing.strength < 0.0 || spec.smoothing.strength > 1.0)
         return "defense.smoothing must be in [0, 1]";
     if (spec.rapl.quantumUj < 0.0)
@@ -38,7 +46,7 @@ applyDefenseOverride(DefenseSpec &spec, const std::string &key,
                      double value)
 {
     if (key == "defense.flush_switch_quantum")
-        spec.flush.switchQuantum = static_cast<int>(value);
+        spec.flush.switchQuantum = clampToInt(value);
     else if (key == "defense.partition_dsb")
         spec.partition.dsb = value != 0.0;
     else if (key == "defense.partition_lsd")
@@ -48,7 +56,7 @@ applyDefenseOverride(DefenseSpec &spec, const std::string &key,
     else if (key == "defense.randomize_sets")
         spec.randomize.enabled = value != 0.0;
     else if (key == "defense.randomize_epoch_slots")
-        spec.randomize.epochSlots = static_cast<int>(value);
+        spec.randomize.epochSlots = clampToInt(value);
     else if (key == "defense.smoothing")
         spec.smoothing.strength = value;
     else if (key == "defense.rapl_quantum_uj")
@@ -101,18 +109,12 @@ Defense::Defense(const DefenseSpec &spec, std::uint64_t trial_seed)
     lf_assert(error.empty(), "bad DefenseSpec: %s", error.c_str());
 }
 
-Defense::~Defense()
-{
-    if (armedCore_ != nullptr)
-        armedCore_->setDomainSwitchHook(nullptr);
-}
-
 void
 Defense::arm(Core &core)
 {
-    if (inactive_ || armedCore_ != nullptr)
+    if (inactive_ || armed_)
         return;
-    armedCore_ = &core;
+    armed_ = true;
     FrontendEngine &frontend = core.frontend();
     // SMT partitioning defends against a co-resident sibling; on an
     // SMT-disabled model there is none and the knobs stay no-ops.
@@ -124,23 +126,8 @@ Defense::arm(Core &core)
     }
     if (spec_.disableDsb)
         frontend.setDsbEnabled(false);
-    if (spec_.flush.switchQuantum > 0) {
-        core.setDomainSwitchHook(
-            [this](Core &c) { onDomainSwitch(c); });
-    }
-}
-
-void
-Defense::onDomainSwitch(Core &core)
-{
-    ++switches_;
-    if (switches_ %
-            static_cast<std::uint64_t>(spec_.flush.switchQuantum) ==
-        0) {
-        // The incoming domain finds a cold DSB (and, through
-        // inclusion, any streaming LSD loop is dropped).
-        core.frontend().dsb().flushAll();
-    }
+    core.setFlushSwitchQuantum(
+        static_cast<std::uint32_t>(spec_.flush.switchQuantum));
 }
 
 void

@@ -71,8 +71,8 @@ struct FlushDefenseSpec
 {
     /** Domain-switch flush quantum ("defense.flush_switch_quantum"):
      *  every quantum-th domain switch — a program being scheduled
-     *  onto a hardware thread, see Core::setDomainSwitchHook() — runs
-     *  a full DSB flush (which drops dependent LSD loops via the
+     *  onto a hardware thread, see Core::setFlushSwitchQuantum() —
+     *  runs a full DSB flush (which drops dependent LSD loops via the
      *  inclusive hierarchy). 0 disables the mitigation; 1 flushes on
      *  every switch, and smaller quanta hurt the time-sliced
      *  channels more (the bit is carried by DSB state that must
@@ -197,23 +197,18 @@ class Defense
 
     Defense(const Defense &) = delete;
     Defense &operator=(const Defense &) = delete;
-    ~Defense();
 
     const DefenseSpec &spec() const { return spec_; }
     bool inactive() const { return inactive_; }
-    /** Slots started so far (diagnostics/tests). */
-    std::uint64_t slots() const { return slots_; }
-    /** Domain switches observed so far (diagnostics/tests). */
-    std::uint64_t domainSwitches() const { return switches_; }
 
     /**
      * Reconfigure @p core once per trial: pin the static DSB
      * partition, split the LSD replay port, disable the DSB
-     * (MITE-only), and install the flush-on-domain-switch hook.
-     * Idempotent; called by CovertChannel::transmit() before the
-     * first slot. SMT partitioning is a no-op on models with SMT
-     * disabled. The hook is uninstalled when this Defense is
-     * destroyed.
+     * (MITE-only), and set the core's flush-on-switch quantum (the
+     * switch phase is core state from then on; binds made before
+     * are not counted). Idempotent; called by
+     * CovertChannel::prepareMachine() before the first slot. SMT
+     * partitioning is a no-op on models with SMT disabled.
      */
     void arm(Core &core);
 
@@ -248,13 +243,11 @@ class Defense
     /** @name Warm-state snapshot (sim/snapshot.hh)
      * The per-trial slot/smoothing evolution only — the spec is
      * identity (part of the snapshot key), the RNG belongs to the
-     * trial seed, and the armed-core pointer stays with whichever
-     * core this Defense is armed on. */
+     * trial seed, and the switch phase is the core's. */
     /// @{
     struct WarmState
     {
         std::uint64_t slots;
-        std::uint64_t switches;
         double worstObservable;
         bool haveWorst;
         double worstRate;
@@ -263,14 +256,13 @@ class Defense
 
     WarmState warmState() const
     {
-        return {slots_,     switches_, worstObservable_,
-                haveWorst_, worstRate_, haveWorstRate_};
+        return {slots_, worstObservable_, haveWorst_, worstRate_,
+                haveWorstRate_};
     }
 
     void loadWarmState(const WarmState &s)
     {
         slots_ = s.slots;
-        switches_ = s.switches;
         worstObservable_ = s.worstObservable;
         haveWorst_ = s.haveWorst;
         worstRate_ = s.worstRate;
@@ -280,14 +272,12 @@ class Defense
 
   private:
     double padObservable(double value);
-    void onDomainSwitch(Core &core);
 
     DefenseSpec spec_;
     bool inactive_ = true;
+    bool armed_ = false;
     Rng rng_;
     std::uint64_t slots_ = 0;
-    std::uint64_t switches_ = 0;
-    Core *armedCore_ = nullptr;
     double worstObservable_ = 0.0;
     bool haveWorst_ = false;
     double worstRate_ = 0.0;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 #include "sim/core.hh"
 
 namespace lf {
@@ -38,8 +39,12 @@ validateEnvironmentSpec(const EnvironmentSpec &spec)
         spec.scheduler.preemptProb > 1.0) {
         return "env.sched_preempt_prob must be in [0, 1]";
     }
-    if (spec.corunner.evictionsPerSlot < 0)
-        return "env.corunner_evictions must be >= 0";
+    // Bounded above so an override beyond int's range, which
+    // applyEnvOverride() saturates, is an error.
+    if (spec.corunner.evictionsPerSlot < 0 ||
+        spec.corunner.evictionsPerSlot > (1 << 20)) {
+        return "env.corunner_evictions must be in [0, 2^20]";
+    }
     if (spec.corunner.slowdownFrac < 0.0 ||
         spec.corunner.jitterFrac < 0.0 ||
         spec.corunner.powerMeanUj < 0.0 ||
@@ -66,7 +71,7 @@ applyEnvOverride(EnvironmentSpec &spec, const std::string &key,
     if (key == "env.corunner_intensity")
         spec.corunner.intensity = value;
     else if (key == "env.corunner_evictions")
-        spec.corunner.evictionsPerSlot = static_cast<int>(value);
+        spec.corunner.evictionsPerSlot = clampToInt(value);
     else if (key == "env.corunner_slowdown")
         spec.corunner.slowdownFrac = value;
     else if (key == "env.corunner_jitter")

@@ -395,6 +395,8 @@ void
 Core::visitState(V &v)
 {
     v.exact(staticPartition_);
+    v.exact(flushSwitchQuantum_);
+    v.exact(switchPhase_);
     engine_.visitState(v);
     backend_.visitState(v);
     rapl_.visitState(v);
@@ -517,8 +519,13 @@ void
 Core::setProgram(ThreadId tid, const Program *program,
                  const ChunkTable *table)
 {
-    if (domainSwitchHook_)
-        domainSwitchHook_(*this);
+    if (flushSwitchQuantum_ > 0) {
+        switchPhase_ = (switchPhase_ + 1) % flushSwitchQuantum_;
+        // The incoming domain finds a cold DSB (and, through
+        // inclusion, any streaming LSD loop is dropped).
+        if (switchPhase_ == 0)
+            engine_.dsb().flushAll();
+    }
     engine_.setProgram(tid, program, table);
     refreshPartitionState();
 }
@@ -544,9 +551,10 @@ Core::setStaticPartition(bool on)
 }
 
 void
-Core::setDomainSwitchHook(std::function<void(Core &)> hook)
+Core::setFlushSwitchQuantum(std::uint32_t quantum)
 {
-    domainSwitchHook_ = std::move(hook);
+    flushSwitchQuantum_ = quantum;
+    switchPhase_ = 0;
 }
 
 void

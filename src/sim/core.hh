@@ -15,7 +15,6 @@
 #define LF_SIM_CORE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -66,13 +65,13 @@ class Core
     void setStaticPartition(bool on);
 
     /**
-     * Mitigation hook (src/defense): every setProgram() is a domain
-     * switch — a new protection domain is scheduled onto the thread —
-     * and the hook runs before the bind, where an OS-level
-     * flush-on-switch mitigation acts. Null (the default) disables
-     * the hook.
+     * Flush-on-switch mitigation (src/defense): from now on every
+     * setProgram() is a domain switch — a new protection domain is
+     * scheduled onto the thread — and every @p quantum-th one flushes
+     * the DSB before the bind, where an OS-level mitigation acts.
+     * 0 (the default) disables it. The switch phase restarts at 0.
      */
-    void setDomainSwitchHook(std::function<void(Core &)> hook);
+    void setFlushSwitchQuantum(std::uint32_t quantum);
     /// @}
 
     /** @name Simulation advance */
@@ -160,10 +159,6 @@ class Core
      * is also the warm snapshot's (sim/snapshot.hh).
      */
     /// @{
-    /** False while a domain-switch hook is installed: the hook's
-     *  owner keeps state (a switch count) the core cannot list. */
-    bool periodSkipAllowed() const { return !domainSwitchHook_; }
-
     /** Overwrite @p out with the canonical key of the current state:
      *  equal keys mean identical behaviour from here on. */
     void canonicalKey(std::vector<std::uint64_t> &out) const;
@@ -191,9 +186,8 @@ class Core
     /** Every state field, raw (stale ring bytes excepted): equal
      *  images mean field-for-field equal cores. The warm-snapshot
      *  layer (sim/snapshot.hh) stores it. Left out: model_ and seed_
-     *  (identity), both Rngs (a snapshot is only taken when nothing
-     *  drew), and the domain-switch hook (it belongs to whichever
-     *  Defense is armed on this core). */
+     *  (identity) and both Rngs (a snapshot is only taken when
+     *  nothing drew). */
     std::vector<std::uint64_t> stateImage() const;
 
     /**
@@ -242,7 +236,10 @@ class Core
     void enclaveTransition(ThreadId tid, Cycles cycles);
 
     bool staticPartition_ = false;
-    std::function<void(Core &)> domainSwitchHook_;
+    /** Flush-on-switch quantum (0: off) and binds since the last
+     *  flush, modulo the quantum. */
+    std::uint32_t flushSwitchQuantum_ = 0;
+    std::uint32_t switchPhase_ = 0;
     CpuModel model_;
     std::uint64_t seed_;
     FrontendEngine engine_;

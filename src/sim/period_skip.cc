@@ -208,8 +208,7 @@ runRounds(Core &core, std::uint64_t rounds, std::vector<Cycles> &records,
           const RoundBody &round)
 {
     std::uint64_t done = 0;
-    if (periodSkipEnabled() && rounds >= kMinSkipRounds &&
-        core.periodSkipAllowed()) {
+    if (periodSkipEnabled() && rounds >= kMinSkipRounds) {
         ProbeSchedule schedule(kMaxSkipPeriod);
         std::vector<std::uint64_t> key;
         std::vector<std::uint64_t> monotone;
@@ -268,8 +267,7 @@ runSpan(Core &core, Cycles cycles, const SpanWatch &watch,
                    (points.front() > 0 && points.back() <= cycles)),
               "span points must ascend strictly within the span");
     SpanCursor cursor(core, watch.observedThread, points, counts);
-    if (periodSkipEnabled() && watch.loopInsts > 0 &&
-        core.periodSkipAllowed()) {
+    if (periodSkipEnabled() && watch.loopInsts > 0) {
         const std::uint64_t base = core.retiredInsts(watch.loopThread);
         ProbeSchedule schedule(kMaxSpanPeriod);
         std::vector<std::uint64_t> key;

@@ -37,9 +37,6 @@
  * Exactness rules:
  *  - The confirmed period must draw nothing (rngThreadDraws()); a
  *    period that draws ends probing for the loop.
- *  - Skipping is off while a domain-switch hook is installed
- *    (Core::periodSkipAllowed()): the flush-on-switch defense counts
- *    switches in state the core cannot list.
  *  - Slot-level events (environment, defense epochs, RAPL reads) sit
  *    outside the round loops and are never skipped over.
  *  - Each runUntilRetired() call in a skipped period has the elapsed

@@ -49,10 +49,9 @@
  *    deltas and places LRU stamps and deadlines against those clocks,
  *    keeping every rank and deadline distance, with no unsigned wrap.
  *  - The caller bypasses the graph for any slot whose start touches
- *    the core or draws (Environment/Defense::slotActsOnCore()), while
- *    a domain-switch hook is installed (Core::periodSkipAllowed()),
- *    and for channels whose slot work reads RAPL or times a whole
- *    enclave call (power, SGX non-MT).
+ *    the core or draws (Environment/Defense::slotActsOnCore()), and
+ *    for channels whose slot work reads RAPL or times a whole enclave
+ *    call (power, SGX non-MT).
  *  - A recorded slot that drew from an Rng disables the graph for
  *    the cell.
  *  - Node keys hold pointers into PreparedChains; the graph pins

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the defense/mitigation model: spec validation and
  * override keys, the keyed DSB index mapping, MITE-only delivery,
- * the static partition pin, the flush-on-domain-switch hook, and the
- * worst-case observable padding.
+ * the static partition pin, the flush-on-domain-switch quantum, and
+ * the worst-case observable padding.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +66,16 @@ TEST(DefenseSpecTest, Validation)
     spec = DefenseSpec{};
     spec.rapl.quantumUj = -1.0;
     EXPECT_NE(validateDefenseSpec(spec), "");
+
+    // Beyond int's range: the applier saturates (a cast would be UB).
+    for (const char *key : {"defense.flush_switch_quantum",
+                            "defense.randomize_epoch_slots"}) {
+        for (const double value : {1e30, -1e30}) {
+            spec = DefenseSpec{};
+            ASSERT_TRUE(applyDefenseOverride(spec, key, value)) << key;
+            EXPECT_NE(validateDefenseSpec(spec), "") << key << value;
+        }
+    }
 }
 
 TEST(DefenseSpecTest, OverrideKeyTableMatchesApplier)
@@ -217,22 +227,19 @@ TEST(DefenseCoreTest, FlushesOnEveryQuantumthDomainSwitch)
 
     DefenseSpec spec;
     spec.flush.switchQuantum = 2;
-    {
-        Defense defense(spec, 1);
-        defense.arm(core);
+    Defense defense(spec, 1);
+    defense.arm(core);
 
-        dsb.insert(0, line, 5);
-        core.setProgram(0, &loop.program); // switch 1: no flush
-        EXPECT_TRUE(dsb.contains(0, line));
-        core.setProgram(0, &loop.program); // switch 2: flush
-        EXPECT_FALSE(dsb.contains(0, line));
-        EXPECT_EQ(defense.domainSwitches(), 2u);
-    }
-    // The destroyed defense uninstalled its hook.
     dsb.insert(0, line, 5);
-    core.setProgram(0, &loop.program);
-    core.setProgram(0, &loop.program);
+    core.setProgram(0, &loop.program); // switch 1: no flush
     EXPECT_TRUE(dsb.contains(0, line));
+    core.setProgram(0, &loop.program); // switch 2: flush
+    EXPECT_FALSE(dsb.contains(0, line));
+    dsb.insert(0, line, 5);
+    core.setProgram(0, &loop.program); // switch 3: no flush
+    EXPECT_TRUE(dsb.contains(0, line));
+    core.setProgram(0, &loop.program); // switch 4: flush
+    EXPECT_FALSE(dsb.contains(0, line));
 }
 
 TEST(DefenseFilterTest, PaddingMergesClassesMonotonically)

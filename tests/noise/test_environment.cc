@@ -79,6 +79,13 @@ TEST(EnvValidation, RangesEnforced)
     spec.scheduler.preemptProb = 0.0;
     spec.timer.noiseStddevCycles = -1.0;
     EXPECT_NE(validateEnvironmentSpec(spec), "");
+
+    // Beyond int's range: the applier saturates (a cast would be UB).
+    for (const double value : {1e30, -1e30}) {
+        spec = EnvironmentSpec{};
+        ASSERT_TRUE(applyEnvOverride(spec, "env.corunner_evictions", value));
+        EXPECT_NE(validateEnvironmentSpec(spec), "") << value;
+    }
 }
 
 TEST(EnvQuiet, DefaultSpecIsQuietAndShapeKnobsStayQuiet)

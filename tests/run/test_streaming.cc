@@ -115,10 +115,9 @@ TEST(StreamingRunner, CarriedCellGraphMatchesFreshRuns)
 {
     // One worker carries one slot graph across different specs; fresh
     // runExperiment() calls start each from an empty graph. The
-    // defended spec arms a domain-switch hook on its core, which its
-    // Defense must uninstall before that core goes (the ASan job runs
-    // this binary); the noisy spec perturbs the core from its
-    // environment; the repeated cell runs within one carried graph.
+    // defended spec flushes on every domain switch; the noisy spec
+    // perturbs the core from its environment; the repeated cell runs
+    // within one carried graph.
     ExperimentSpec a;
     a.channel = "nonmt-fast-eviction";
     a.cpu = "Gold 6226";

@@ -6,7 +6,7 @@
  * same observable, the same core field for field (live image and the
  * image loaded onto a fresh core), the same counters and cycle count,
  * and the same number of RNG draws. Skipping must actually engage
- * there, and never while a flush-on-switch defense is armed. Cycle
+ * there, also under a flush-on-switch defense. Cycle
  * spans (runSpan) must leave the same core and read the same counts
  * as a plain runCycles() run, wherever their observation points fall.
  * (The registry-wide sink-byte identity lives in
@@ -154,17 +154,31 @@ TEST(PeriodSkip, EveryLoopingChannelIsExactAndSkips)
     EXPECT_EQ(cases, 2 * (8 + 12 + 4 + 6));
 }
 
-TEST(PeriodSkip, FlushOnSwitchDefenseNeverSkips)
+TEST(PeriodSkip, FlushOnSwitchDefenseSkipsIdentically)
 {
-    for (const char *channel : {"power-eviction", "sgx-mt-eviction"}) {
-        ExperimentSpec spec = specFor(channel, "E-2174G");
-        spec.overrides["defense.flush_switch_quantum"] = 3;
-        for (const bool bit : {false, true}) {
-            const BitOutcome off = sendBit(spec, bit, false);
-            const BitOutcome on = sendBit(spec, bit, true);
-            EXPECT_EQ(on.skips, 0u) << channel;
-            EXPECT_EQ(on.observable, off.observable) << channel;
-            EXPECT_TRUE(on.image == off.image) << channel;
+    // The switch phase is core state, so flushed loops skip too.
+    for (const char *channel :
+         {"power-eviction", "sgx-mt-eviction", "mt-eviction"}) {
+        for (const int quantum : {1, 2, 3, 255}) {
+            ExperimentSpec spec = specFor(channel, "E-2174G");
+            spec.overrides["defense.flush_switch_quantum"] = quantum;
+            for (const bool bit : {false, true}) {
+                const std::string what = std::string(channel) + " q=" +
+                    std::to_string(quantum) + " bit " +
+                    (bit ? "1" : "0");
+                const BitOutcome off = sendBit(spec, bit, false);
+                const BitOutcome on = sendBit(spec, bit, true);
+                // A 255-bind phase cycle is too long for some loops.
+                if (quantum < 255) {
+                    EXPECT_GT(on.skips, 0u) << what;
+                }
+                EXPECT_EQ(on.observable, off.observable) << what;
+                EXPECT_EQ(on.cycle, off.cycle) << what;
+                EXPECT_EQ(on.draws, off.draws) << what;
+                EXPECT_TRUE(on.image == off.image) << what;
+                EXPECT_TRUE(on.warmImage == off.warmImage) << what;
+                expectSameCounters(on.counters, off.counters, what);
+            }
         }
     }
 }
@@ -545,25 +559,6 @@ TEST(PeriodSkipSpan, ShorterThanThreePeriodsRunsPlainly)
         spanRun(*span_core, cycles, points, setup.watch());
     EXPECT_EQ(span.skips, 0u);
     expectSameRun(span, plainRun(*plain_core, cycles, points, 0));
-}
-
-TEST(PeriodSkipSpan, DomainSwitchHookBlocksSkipping)
-{
-    const SpanSetup setup;
-    const Cycles cycles = 200000;
-    const std::vector<Cycles> points = {50000, 100000, cycles};
-    auto plain_core = setup.core();
-    auto span_core = setup.core();
-    span_core->setDomainSwitchHook([](Core &) {});
-    const SpanOutcome span =
-        spanRun(*span_core, cycles, points, setup.watch());
-    EXPECT_EQ(span.skips, 0u);
-    expectSameRun(span, plainRun(*plain_core, cycles, points, 0));
-
-    // The same span without the hook does skip.
-    auto open_core = setup.core();
-    EXPECT_EQ(spanRun(*open_core, cycles, points, setup.watch()).skips,
-              1u);
 }
 
 TEST(PeriodSkipSpan, SiblingHaltingMidSpanRunsOnExactly)

@@ -11,9 +11,10 @@
  *  - work run plainly at a slot's edge (SlotWalk::plain()) after a
  *    replayed slot sees, and leaves, the core plain simulation would;
  *  - graph on and off give the same sink bytes and per-trial machine
- *    counters registry-wide, quiet and noisy, at 1, 4 and 8 threads;
- *  - power, SGX non-MT and flush-on-switch cells never replay, and
- *    SGX MT cells do.
+ *    counters registry-wide, quiet and noisy, with and without the
+ *    flush-on-switch defense, at 1, 4 and 8 threads;
+ *  - power and SGX non-MT cells never replay, and SGX MT and
+ *    flush-on-switch cells do.
  */
 
 #include <gtest/gtest.h>
@@ -339,28 +340,38 @@ TEST(SlotGraph, PlainWorkAfterAReplayedSlotMatchesPlainSimulation)
 }
 
 /** Every channel on an SMT server, an SMT SGX desktop part and an
- *  SGX part without SMT, three trials a cell, random messages: quiet (default quiet model) or
- *  noisy (default model noise, some cells with environment noise
+ *  SGX part without SMT, three trials a cell, random messages: quiet
+ *  (default quiet model; the replaying channels also on the desktop
+ *  part under the flush-on-switch defense at quanta 1, 2, 3 and 255)
+ *  or noisy (default model noise, some cells with environment noise
  *  that acts on the core and some with timer noise only). */
 std::vector<ExperimentSpec>
 registryGrid(bool quiet)
 {
     std::vector<ExperimentSpec> specs;
     int cell = 0;
+    const auto add = [&](ExperimentSpec spec) {
+        if (!quiet) {
+            for (const auto &[key, value] : kQuiet)
+                spec.overrides.erase(key);
+            if (cell % 5 == 1)
+                spec.overrides["env.corunner_intensity"] = 0.5;
+            if (cell % 5 == 3)
+                spec.overrides["env.timer_noise_cycles"] = 40;
+        }
+        ++cell;
+        for (ExperimentSpec &trial : expandTrials(spec, 3))
+            specs.push_back(std::move(trial));
+    };
     for (const std::string &channel : allChannelNames()) {
-        for (const char *cpu : {"Gold 6226", "E-2174G", "E-2288G"}) {
-            ExperimentSpec spec = specFor(channel, cpu, 53);
-            if (!quiet) {
-                for (const auto &[key, value] : kQuiet)
-                    spec.overrides.erase(key);
-                if (cell % 5 == 1)
-                    spec.overrides["env.corunner_intensity"] = 0.5;
-                if (cell % 5 == 3)
-                    spec.overrides["env.timer_noise_cycles"] = 40;
-            }
-            ++cell;
-            for (ExperimentSpec &trial : expandTrials(spec, 3))
-                specs.push_back(std::move(trial));
+        for (const char *cpu : {"Gold 6226", "E-2174G", "E-2288G"})
+            add(specFor(channel, cpu, 53));
+        if (!quiet || neverReplays(channel))
+            continue;
+        for (const int quantum : {1, 2, 3, 255}) {
+            ExperimentSpec spec = specFor(channel, "E-2174G", 53);
+            spec.overrides["defense.flush_switch_quantum"] = quantum;
+            add(spec);
         }
     }
     return specs;
@@ -422,28 +433,27 @@ TEST(SlotGraph, OnAndOffAreBitIdenticalRegistryWide)
     }
 }
 
-TEST(SlotGraph, PowerSgxNonMtAndFlushOnSwitchCellsNeverReplay)
+TEST(SlotGraph, FlushedCellsReplayButPowerAndSgxNonMtNever)
 {
+    // Every channel runs under the flush-on-switch defense, whose
+    // switch phase is core state.
     obs::CounterScope counters(true);
     std::vector<ExperimentSpec> specs;
     for (const std::string &channel : allChannelNames()) {
         ExperimentSpec spec = specFor(channel, "E-2174G", 59);
-        // Every other channel runs under the flush-on-switch defense;
-        // SGX MT runs undefended and replays.
-        if (!neverReplays(channel) && !isSgxMt(channel))
-            spec.overrides["defense.flush_switch_quantum"] = 1;
+        spec.overrides["defense.flush_switch_quantum"] = 1;
         for (ExperimentSpec &trial : expandTrials(spec, 2))
             specs.push_back(std::move(trial));
     }
     std::size_t rows = 0;
-    std::size_t sgx_mt_rows = 0;
+    std::size_t replaying_rows = 0;
     for (const ExperimentResult &res : ExperimentRunner(2).run(specs)) {
         if (!res.ok)
             continue;
         ++rows;
         const obs::CounterSet &set = *res.counters;
-        if (isSgxMt(res.spec.channel)) {
-            ++sgx_mt_rows;
+        if (!neverReplays(res.spec.channel)) {
+            ++replaying_rows;
             EXPECT_GT(set.slotGraphHits, 0u) << res.spec.channel;
             continue;
         }
@@ -452,7 +462,7 @@ TEST(SlotGraph, PowerSgxNonMtAndFlushOnSwitchCellsNeverReplay)
         EXPECT_EQ(set.slotGraphNodes, 0u) << res.spec.channel;
     }
     EXPECT_GT(rows, 20u);
-    EXPECT_EQ(sgx_mt_rows, 4u);
+    EXPECT_EQ(replaying_rows, 2 * replayingChannels().size());
 }
 
 } // namespace
